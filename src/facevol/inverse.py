@@ -14,13 +14,12 @@ from math import comb
 
 import numpy as np
 
-from .jacobian import DegenerateFaceError, analytic_jacobian
+from .jacobian import volumes_and_jacobian
 from .simplex import (
     FaceVolumeVector,
     RealizabilityError,
     SimplexSpec,
-    all_face_volumes,
-    is_realizable,
+    realizable,
     spec_to_json,
 )
 
@@ -28,6 +27,10 @@ SQUARED_LENGTH_FLOOR = 1e-9
 STEP_STALL = 1e-15
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
+
+
+class StartDrawError(ValueError):
+    """No realizable start among the random draws."""
 
 
 @dataclass(frozen=True)
@@ -49,35 +52,36 @@ class SolveResult:
     trajectory: list[float] = field(default_factory=list)
 
 
-def _spec_from_lengths(n: int, lengths: np.ndarray) -> SimplexSpec:
-    squared = np.maximum(lengths**2, SQUARED_LENGTH_FLOOR)
-    return SimplexSpec.from_vector(n, squared.tolist())
+def _squared(lengths: np.ndarray) -> np.ndarray:
+    return np.maximum(lengths**2, SQUARED_LENGTH_FLOOR)
 
 
 def solve(problem: InverseProblem) -> SolveResult:
-    """Damped Gauss-Newton iteration for target = face volumes of dim n-2."""
+    """Damped Gauss-Newton iteration for target = face volumes of dim n-2.
+
+    A step is halved until its squared lengths pass the Gram test; only
+    then is a spec built.  One kernel call per trial point gives its face
+    volumes and, should the point be accepted, the Jacobian of the next step.
+    """
     n = problem.n
     dim = comb(n + 1, 2)
     target = problem.target.vector()
     if problem.target.face_dim != n - 2 or len(target) != dim:
         raise ValueError(f"target must hold the {dim} face volumes of dimension {n - 2}")
-    if not is_realizable(problem.start):
-        raise RealizabilityError("start spec is not realizable")
 
     lengths = np.sqrt(problem.start.vector())
-    spec = _spec_from_lengths(n, lengths)
-    values = all_face_volumes(spec, n - 2).vector()
+    squared = _squared(lengths)
+    if not realizable(n, squared):
+        raise RealizabilityError("start spec is not realizable")
+    spec = SimplexSpec.from_vector(n, squared.tolist())
+    values, jac = volumes_and_jacobian(spec)
     norm = float(np.linalg.norm(values - target))
     trajectory = [norm]
     mu = problem.damping
     iterations = 0
 
     for _ in range(problem.max_iters):
-        if norm <= problem.tol:
-            break
-        try:
-            jac = analytic_jacobian(spec)
-        except (DegenerateFaceError, RealizabilityError):
+        if norm <= problem.tol or jac is None:
             break
         normal = jac.T @ jac
         if mu <= 0.0:
@@ -86,20 +90,19 @@ def solve(problem: InverseProblem) -> SolveResult:
         step = np.linalg.solve(normal + mu * np.eye(dim), jac.T @ (target - values))
         # halve until back inside the realizable region
         while np.linalg.norm(step) > STEP_STALL:
-            trial = _spec_from_lengths(n, lengths + step)
-            if is_realizable(trial):
+            squared = _squared(lengths + step)
+            if realizable(n, squared):
                 break
             step = step / 2.0
         if np.linalg.norm(step) <= STEP_STALL:
             break
 
-        trial = _spec_from_lengths(n, lengths + step)
-        trial_values = all_face_volumes(trial, n - 2).vector()
+        trial = SimplexSpec.from_vector(n, squared.tolist())
+        trial_values, trial_jac = volumes_and_jacobian(trial)
         trial_norm = float(np.linalg.norm(trial_values - target))
         if trial_norm <= norm:
-            lengths = np.sqrt(trial.vector())
-            spec = trial
-            values = trial_values
+            lengths = np.sqrt(squared)
+            spec, values, jac = trial, trial_values, trial_jac
             norm = trial_norm
             trajectory.append(norm)
             iterations += 1
@@ -133,10 +136,9 @@ def random_realizable_spec(n: int, rng: np.random.Generator, max_tries: int = 10
     dim = comb(n + 1, 2)
     for _ in range(max_tries):
         squared = np.exp(rng.uniform(low, high, size=dim))
-        spec = SimplexSpec.from_vector(n, squared.tolist())
-        if is_realizable(spec):
-            return spec
-    raise RuntimeError(f"no realizable draw in {max_tries} tries for n={n}")
+        if realizable(n, squared):
+            return SimplexSpec.from_vector(n, squared.tolist())
+    raise StartDrawError(f"no realizable start in {max_tries} draws for n={n}")
 
 
 def basin_probe(

@@ -12,6 +12,8 @@ rank (hence local algebraic independence of the face volumes) certifiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -21,15 +23,18 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     ZERO_VOLUME_REL_TOL,
-    _volume_scale,
     all_face_volumes,
     build_cm_matrix,
-    face_complement,
+    cm_squared_volumes,
+    cm_stack,
+    face_vertices,
+    face_volumes,
     is_realizable,
     k_subsets,
-    lex_pairs,
     regular_simplex,
+    squared_distance_matrix,
     squared_volume,
+    volume_scales,
 )
 
 DEFAULT_RANK_THRESHOLD = 1e-8
@@ -73,6 +78,55 @@ def face_volume(spec: SimplexSpec, face) -> float:
     return sqrt(max(float(squared_volume(spec, face)), 0.0))
 
 
+@cache
+def _edge_positions(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, of the edges of a size-vertex face in its CM matrix."""
+    a, b = np.triu_indices(size, 1)
+    return a + 1, b + 1
+
+
+@cache
+def _jacobian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian row and column of each entry of the (n-2)-face gradients.
+
+    Gradient entry [f, e] is the derivative of face f (complement-key
+    order) along the face's e-th edge (lexicographic order).
+    """
+    faces = face_vertices(n, n - 2)
+    a, b = _edge_positions(n - 1)
+    edge_ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=int)
+    cols = edge_ids[faces[:, a - 1], faces[:, b - 1]]
+    rows = np.broadcast_to(np.arange(len(faces))[:, None], cols.shape)
+    return rows, cols
+
+
+def _gradients(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Volume derivatives of each face with respect to its plain edge lengths.
+
+    One row per face, one column per edge inside the face in lexicographic
+    order.  dV/dl_e = 2 s_m cof_e l_e / V, with s_m the Cayley-Menger
+    prefactor and cof_e the cofactor at the position (a, b) of l_e^2 in the
+    face's CM matrix C.  The adjugate gives cof_e = det(C) (C^-1)_ab, and
+    s_m det(C) = V^2, so dV/dl_e = 2 V l_e (C^-1)_ab: one batched inverse
+    replaces a minor per entry.  Raises DegenerateFaceError at the first
+    face with zero volume.
+    """
+    degenerate = sq <= ZERO_VOLUME_REL_TOL * volume_scales(stack)
+    if degenerate.any():
+        face = tuple((faces[int(np.argmax(degenerate))] + 1).tolist())
+        raise DegenerateFaceError(f"face {face} is degenerate", face=face)
+    a, b = _edge_positions(faces.shape[1])
+    inverse = np.linalg.inv(stack)
+    return 2.0 * np.sqrt(sq)[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]
+
+
+def _jacobian(n: int, faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    rows, cols = _jacobian_index(n)
+    jac = np.zeros((len(faces), comb(n + 1, 2)))
+    jac[rows, cols] = _gradients(faces, stack, sq)
+    return jac
+
+
 def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     """Derivatives of the face volume with respect to its plain edge lengths.
 
@@ -81,26 +135,11 @@ def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     of l_e^2.  Edges not inside the face have derivative 0 and are omitted.
     """
     face = tuple(sorted(face))
-    m = len(face) - 1
-    if m < 1:
+    if len(face) < 2:
         return {}
-    sq = float(squared_volume(spec, face))
-    if sq <= ZERO_VOLUME_REL_TOL * _volume_scale(spec, face):
-        raise DegenerateFaceError(f"face {face} is degenerate", face=face)
-    vol = sqrt(sq)
-    cm = build_cm_matrix(spec, face).astype(float)
-    prefactor = (-1) ** (m + 1) / (2**m * factorial(m) ** 2)
-    position = {v: idx + 1 for idx, v in enumerate(face)}
-    grad = {}
-    for a_idx in range(m + 1):
-        for b_idx in range(a_idx + 1, m + 1):
-            i, j = face[a_idx], face[b_idx]
-            a, b = position[i], position[j]
-            minor = np.delete(np.delete(cm, a, axis=0), b, axis=1)
-            cof = (-1) ** (a + b) * float(np.linalg.det(minor))
-            length = sqrt(float(spec.edge(i, j)))
-            grad[(i, j)] = 2.0 * prefactor * cof * length / vol
-    return grad
+    stack = build_cm_matrix(spec, face).astype(float)[None]
+    gradient = _gradients(np.array([face]) - 1, stack, cm_squared_volumes(stack))
+    return dict(zip(combinations(face, 2), gradient[0].tolist()))
 
 
 def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
@@ -108,14 +147,28 @@ def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     n = spec.n
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
-    keys = k_subsets(n, 2)
-    edges = lex_pairs(n)
-    col = {edge: idx for idx, edge in enumerate(edges)}
-    jac = np.zeros((len(keys), len(edges)))
-    for row, key in enumerate(keys):
-        for edge, value in volume_gradient(spec, face_complement(n, key)).items():
-            jac[row, col[edge]] = value
-    return jac
+    faces = face_vertices(n, n - 2)
+    if faces.shape[1] < 2:  # n <= 2: the faces have no edges
+        return np.zeros((len(faces), comb(n + 1, 2)))
+    stack = cm_stack(spec.distance_matrix, faces)
+    return _jacobian(n, faces, stack, cm_squared_volumes(stack))
+
+
+def volumes_and_jacobian(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """(n-2)-face volumes and their Jacobian from one CM stack (n >= 2).
+
+    For a spec already known to embed: there is no Gram check.  Raises
+    RealizabilityError at a face with negative squared volume, as
+    all_face_volumes does; the Jacobian is None when a face is degenerate.
+    """
+    faces = face_vertices(spec.n, spec.n - 2)
+    stack = cm_stack(spec.distance_matrix, faces)
+    sq = cm_squared_volumes(stack)
+    values = face_volumes(faces, stack, sq)
+    try:
+        return values, _jacobian(spec.n, faces, stack, sq)
+    except DegenerateFaceError:
+        return values, None
 
 
 def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:

@@ -3,7 +3,10 @@
 A simplex on vertices 1..n+1 is described by the squared lengths of its
 binomial(n+1,2) edges.  Squared volumes of faces come from Cayley-Menger
 determinants; when every squared length is an int or Fraction the
-determinant is evaluated exactly, otherwise in floating point.
+determinant is evaluated exactly, otherwise in floating point.  Each spec
+holds its squared distances as one symmetric matrix; the CM matrices of
+all faces of a dimension are gathered from it into one stack, so the float
+path is a single batched determinant.
 
 Faces of dimension d are keyed by their complementary (n-d)-subset of the
 vertex set, in lexicographic order.  That ordering is shared with the
@@ -16,8 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
-from math import comb, factorial, sqrt
+from math import comb, factorial, isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -51,6 +56,33 @@ def face_complement(n: int, key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for v in range(1, n + 2) if v not in drop)
 
 
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (row, column) of every edge, in lexicographic pair order."""
+    return np.triu_indices(n + 1, 1)
+
+
+def squared_distance_matrix(n: int, squared, dtype=float) -> np.ndarray:
+    """Symmetric (n+1)x(n+1) matrix with zero diagonal from squared lengths in lex pair order."""
+    rows, cols = _pair_indices(n)
+    distances = np.zeros((n + 1, n + 1), dtype=dtype)
+    distances[rows, cols] = squared
+    distances[cols, rows] = squared
+    return distances
+
+
+@cache
+def face_vertices(n: int, face_dim: int) -> np.ndarray:
+    """0-based vertices of every dimension-`face_dim` face, one row per face.
+
+    Rows follow the complement-key order of FaceVolumeVector.  The array is
+    cached per (n, face_dim) and read-only.
+    """
+    faces = np.array([face_complement(n, key) for key in k_subsets(n, n - face_dim)]) - 1
+    faces.setflags(write=False)
+    return faces
+
+
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -68,6 +100,8 @@ class SimplexSpec:
     squared_lengths: dict[tuple[int, int], float | Fraction]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise ValueError(f"dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         expected = lex_pairs(self.n)
@@ -77,6 +111,8 @@ class SimplexSpec:
                 f"1 <= i < j <= {self.n + 1}"
             )
         for pair, value in self.squared_lengths.items():
+            if not _is_exact(value) and not isfinite(value):
+                raise ValueError(f"squared length for {pair} is not finite: {value}")
             if value < 0:
                 raise ValueError(f"squared length for {pair} is negative: {value}")
         # normalize to lexicographic insertion order
@@ -84,9 +120,16 @@ class SimplexSpec:
             self, "squared_lengths", {p: self.squared_lengths[p] for p in expected}
         )
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(_is_exact(v) for v in self.squared_lengths.values())
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """Read-only float matrix of squared distances; vertex v is row v-1."""
+        distances = squared_distance_matrix(self.n, self.vector())
+        distances.setflags(write=False)
+        return distances
 
     def edge(self, i: int, j: int):
         if i == j:
@@ -167,6 +210,25 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
     return SimplexSpec(spec.n, lengths)
 
 
+def _exact_distances(spec: SimplexSpec) -> np.ndarray:
+    """Squared distances as an object matrix holding the spec's exact values."""
+    return squared_distance_matrix(spec.n, list(spec.squared_lengths.values()), dtype=object)
+
+
+def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Cayley-Menger matrices of many faces at once, shape (faces, m+2, m+2).
+
+    `faces` holds one row of m+1 0-based vertex indices per face.  Each
+    matrix has a zero corner, a border of ones in row/column 0, and the
+    face's squared distances, gathered from `distances` by fancy indexing.
+    """
+    count, size = faces.shape
+    stack = np.ones((count, size + 1, size + 1), dtype=distances.dtype)
+    stack[:, 0, 0] = 0
+    stack[:, 1:, 1:] = distances[faces[:, :, None], faces[:, None, :]]
+    return stack
+
+
 def build_cm_matrix(spec: SimplexSpec, face) -> np.ndarray:
     """Cayley-Menger matrix of the sub-simplex spanned by `face`.
 
@@ -181,18 +243,8 @@ def build_cm_matrix(spec: SimplexSpec, face) -> np.ndarray:
         raise ValueError(f"face has repeated vertices: {face}")
     if face[0] < 1 or face[-1] > spec.n + 1:
         raise IndexError(f"face {face} outside vertex range 1..{spec.n + 1}")
-    order = len(face) + 1
-    exact = spec.is_exact
-    cm = np.zeros((order, order), dtype=object if exact else float)
-    cm[0, 1:] = 1
-    cm[1:, 0] = 1
-    for a, i in enumerate(face, start=1):
-        for b, j in enumerate(face, start=1):
-            if a < b:
-                value = spec.edge(i, j)
-                cm[a, b] = value
-                cm[b, a] = value
-    return cm
+    distances = _exact_distances(spec) if spec.is_exact else spec.distance_matrix
+    return cm_stack(distances, np.array([face]) - 1)[0]
 
 
 def cm_determinant(cm: np.ndarray):
@@ -218,32 +270,82 @@ def squared_volume(spec: SimplexSpec, face):
             raise IndexError(f"vertex {face[0]} outside 1..{spec.n + 1}")
         return Fraction(1) if spec.is_exact else 1.0
     det = cm_determinant(build_cm_matrix(spec, face))
-    denom = 2**m * factorial(m) ** 2
     if isinstance(det, Fraction):
-        return Fraction((-1) ** (m + 1), denom) * det
-    return (-1) ** (m + 1) / denom * det
+        return _cm_prefactor(m) * det
+    return float(_cm_prefactor(m)) * det
 
 
-def _volume_scale(spec: SimplexSpec, face) -> float:
-    """Magnitude of the largest monomial of the squared-volume polynomial."""
-    m = len(face) - 1
-    if m < 1:
-        return 1.0
-    qmax = max(max(float(spec.edge(i, j)) for i, j in combinations(face, 2)), 1.0)
+def _cm_prefactor(m: int) -> Fraction:
+    """(-1)^(m+1) / (2^m (m!)^2), the factor that turns det C into V^2."""
+    return Fraction((-1) ** (m + 1), 2**m * factorial(m) ** 2)
+
+
+def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
+    """Squared volumes of the faces of a float CM stack, from one batched det.
+
+    A point's matrix [[0, 1], [1, 0]] gives 1, the m=0 convention.
+    """
+    return float(_cm_prefactor(stack.shape[-1] - 2)) * np.linalg.det(stack)
+
+
+def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float CM stack of the faces and their squared volumes as floats.
+
+    Float specs take one batched determinant; exact specs take Bareiss per
+    face, rounded to float only at the end.
+    """
+    stack = cm_stack(spec.distance_matrix, faces)
+    if not spec.is_exact:
+        return stack, cm_squared_volumes(stack)
+    prefactor = _cm_prefactor(faces.shape[1] - 1)
+    exact = cm_stack(_exact_distances(spec), faces)
+    return stack, np.array([float(prefactor * cm_determinant(cm)) for cm in exact])
+
+
+def volume_scales(stack: np.ndarray) -> np.ndarray:
+    """Magnitude of the largest monomial of each face's squared-volume polynomial."""
+    m = stack.shape[-1] - 2
+    qmax = np.maximum(stack[:, 1:, 1:].max(axis=(1, 2)), 1.0)
     return qmax**m / (2**m * factorial(m) ** 2)
+
+
+def _negative_faces(stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Mask of the faces whose squared volume is negative beyond round-off."""
+    return sq < -ZERO_VOLUME_REL_TOL * volume_scales(stack)
+
+
+def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Volumes of the faces from their CM stack and squared volumes.
+
+    Degenerate faces get 0.  Raises RealizabilityError at the first face
+    whose squared volume is negative beyond round-off.
+    """
+    negative = _negative_faces(stack, sq)
+    if negative.any():
+        index = int(np.argmax(negative))
+        face = tuple((faces[index] + 1).tolist())
+        raise RealizabilityError(
+            f"face {face} has negative squared volume {float(sq[index])}", face=face
+        )
+    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
+
+
+def _gram(distances: np.ndarray) -> np.ndarray:
+    """Gram matrix on base vertex 1 of a squared-distance matrix."""
+    base = distances[0, 1:]
+    return 0.5 * (base[:, None] + base[None, :] - distances[1:, 1:])
 
 
 def gram_matrix(spec: SimplexSpec) -> np.ndarray:
     """Gram matrix relative to base vertex 1: G_ij = (q_1i + q_1j - q_ij)/2."""
-    n = spec.n
-    g = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            qi = float(spec.edge(1, i + 1))
-            qj = float(spec.edge(1, j + 1))
-            qij = 0.0 if i == j else float(spec.edge(i + 1, j + 1))
-            g[i - 1, j - 1] = g[j - 1, i - 1] = 0.5 * (qi + qj - qij)
-    return g
+    return _gram(spec.distance_matrix)
+
+
+def _gram_test(distances: np.ndarray) -> tuple[float, float]:
+    """Smallest Gram eigenvalue and its tolerance for a squared-distance matrix."""
+    g = _gram(distances)
+    trace = float(np.trace(g))
+    return float(np.linalg.eigvalsh(g)[0]), REALIZABILITY_EIG_TOL * max(trace, 1e-300)
 
 
 def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
@@ -253,24 +355,29 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     semidefinite; we accept eigenvalues down to -1e-10 * trace(G) so that
     boundary cases (degenerate but embeddable data) pass.
     """
-    g = gram_matrix(spec)
-    eigs = np.linalg.eigvalsh(g)
-    tol = REALIZABILITY_EIG_TOL * max(float(np.trace(g)), 1e-300)
+    low, tol = _gram_test(spec.distance_matrix)
     return RealizabilityCertificate(
-        realizable=bool(eigs[0] >= -tol),
-        min_eigenvalue=float(eigs[0]),
+        realizable=low >= -tol,
+        min_eigenvalue=low,
         tolerance=tol,
     )
 
 
+def realizable(n: int, squared: np.ndarray) -> bool:
+    """The is_realizable test on squared lengths in lex pair order, without a spec."""
+    low, tol = _gram_test(squared_distance_matrix(n, squared))
+    return low >= -tol
+
+
 def _first_negative_face(spec: SimplexSpec):
     """Smallest (then lexicographically first) face with negative squared volume."""
-    for size in range(3, spec.n + 2):
-        for face in combinations(range(1, spec.n + 2), size):
-            sq = float(squared_volume(spec, face))
-            if sq < -ZERO_VOLUME_REL_TOL * _volume_scale(spec, face):
-                return face
-    return tuple(range(1, spec.n + 2))
+    n = spec.n
+    for face_dim in range(2, n + 1):
+        faces = face_vertices(n, face_dim)
+        negative = _negative_faces(*face_stack(spec, faces))
+        if negative.any():
+            return min(tuple(face) for face in (faces[negative] + 1).tolist())
+    return tuple(range(1, n + 2))
 
 
 def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
@@ -286,16 +393,11 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
         raise RealizabilityError(
             "spec is not realizable", face=_first_negative_face(spec)
         )
-    values = {}
-    for key in k_subsets(n, n - face_dim):
-        face = face_complement(n, key)
-        sq = float(squared_volume(spec, face))
-        if sq < -ZERO_VOLUME_REL_TOL * _volume_scale(spec, face):
-            raise RealizabilityError(
-                f"face {face} has negative squared volume {sq}", face=face
-            )
-        values[key] = sqrt(sq) if sq > 0 else 0.0
-    return FaceVolumeVector(n=n, face_dim=face_dim, values=values)
+    faces = face_vertices(n, face_dim)
+    values = face_volumes(faces, *face_stack(spec, faces))
+    return FaceVolumeVector(
+        n=n, face_dim=face_dim, values=dict(zip(k_subsets(n, n - face_dim), values.tolist()))
+    )
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -339,7 +441,7 @@ def spec_from_json(data: dict) -> SimplexSpec:
         raw = data["squared_lengths"]
     except (KeyError, TypeError):
         raise ValueError('simplex JSON needs keys "n" and "squared_lengths"') from None
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f'"n" must be an integer, got {n!r}')
     return SimplexSpec.from_vector(n, [_value_from_json(x) for x in raw])
 

@@ -2,7 +2,7 @@ from math import factorial
 
 import numpy as np
 
-from facevol import SimplexSpec, lex_pairs
+from facevol import SimplexSpec
 
 
 def perturbed_regular(n: int, rng: np.random.Generator, spread: float = 0.1) -> SimplexSpec:
@@ -21,12 +21,3 @@ def coordinate_volume_sq(points: np.ndarray, face) -> float:
     gram = edges @ edges.T
     return float(np.linalg.det(gram)) / factorial(m) ** 2
 
-
-def spec_from_points(points: np.ndarray) -> SimplexSpec:
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[1]
-    lengths = {}
-    for i, j in lex_pairs(n):
-        d = pts[i - 1] - pts[j - 1]
-        lengths[(i, j)] = float(d @ d)
-    return SimplexSpec(n, lengths)

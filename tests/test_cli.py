@@ -185,6 +185,27 @@ def test_usage_error_leaves_no_output_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_boolean_dimension_is_usage_error(capsys, tmp_path):
+    path = write_spec(tmp_path, "bool.json", {"n": True, "squared_lengths": [1]})
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, "volume", "--input", path, "--output", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("facevol volume:") and "integer" in err
+
+
+def test_invert_without_realizable_start_is_usage_error(capsys, tmp_path):
+    # log-uniform draws in [0.25, 4] almost never embed at n=6
+    path = write_spec(tmp_path, "reg6.json", {"n": 6, "squared_lengths": [1] * 21})
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, "invert", "--input", path, "--starts", "1",
+                         "--output", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("facevol invert: no realizable start")
+    assert err.count("\n") == 1
+
+
 def test_malformed_json_is_usage_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -151,3 +152,38 @@ def test_random_realizable_spec_is_seeded_and_in_range():
     assert np.all(values >= 0.25) and np.all(values <= 4.0)
     rng2 = np.random.default_rng(0)
     assert np.array_equal(random_realizable_spec(4, rng2).vector(), values)
+
+
+def reference_start(n, rng, max_tries=10000):
+    """Per-draw reference: log-uniform squared lengths, Gram eigvalsh test."""
+    low, high = np.log(0.25), np.log(4.0)
+    for _ in range(max_tries):
+        squared = np.exp(rng.uniform(low, high, size=comb(n + 1, 2)))
+        q = dict(zip(lex_pairs(n), squared))
+        q.update({(i, i): 0.0 for i in range(1, n + 2)})
+        gram = np.array([
+            [0.5 * (q[(1, i)] + q[(1, j)] - q[(min(i, j), max(i, j))]) for j in range(2, n + 2)]
+            for i in range(2, n + 2)
+        ])
+        if np.linalg.eigvalsh(gram)[0] >= -1e-10 * max(float(np.trace(gram)), 1e-300):
+            return squared
+    raise AssertionError("reference found no realizable draw")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_random_realizable_spec_matches_reference_loop(n):
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec = random_realizable_spec(n, rng)
+        assert np.array_equal(spec.vector(), reference_start(n, ref_rng))
+        assert rng.uniform() == ref_rng.uniform()  # same number of draws consumed
+
+
+def test_basin_probe_mirror_target_pinned_counts():
+    # cluster count and per-cluster iterations of the minor-per-entry
+    # Jacobian implementation; the batched kernel must not change them
+    pair = build_pair(4, Fraction(1, 2))
+    clusters = basin_probe(4, all_face_volumes(pair.minus.spec, 2), num_starts=20, seed=0)
+    assert [c.iterations for c in clusters] == [6, 7]
+    specials = [np.sort(c.solution.vector())[-1] for c in clusters]
+    assert specials == pytest.approx([2.5, 1.5], abs=1e-8)

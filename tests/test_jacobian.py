@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -7,6 +8,7 @@ from facevol import (
     BoundaryError,
     DegenerateFaceError,
     analytic_jacobian,
+    build_cm_matrix,
     build_instance,
     build_kneser_adjacency,
     euler_identity_check,
@@ -176,3 +178,30 @@ def test_degenerate_face_raises():
     with pytest.raises(DegenerateFaceError) as excinfo:
         analytic_jacobian(spec)
     assert {2, 5} <= set(excinfo.value.face)
+
+
+def minor_jacobian(spec):
+    """Reference Jacobian: one determinant minor per entry (cofactor rule)."""
+    n = spec.n
+    edges = lex_pairs(n)
+    jac = np.zeros((len(edges), len(edges)))
+    for row, key in enumerate(k_subsets(n, 2)):
+        face = face_complement(n, key)
+        m = len(face) - 1
+        cm = build_cm_matrix(spec, face).astype(float)
+        prefactor = (-1) ** (m + 1) / (2**m * factorial(m) ** 2)
+        vol = sqrt(prefactor * np.linalg.det(cm))
+        for a, b in combinations(range(1, m + 2), 2):
+            minor = np.delete(np.delete(cm, a, axis=0), b, axis=1)
+            cof = (-1) ** (a + b) * np.linalg.det(minor)
+            i, j = face[a - 1], face[b - 1]
+            jac[row, edges.index((i, j))] = 2.0 * prefactor * cof * sqrt(spec.edge(i, j)) / vol
+    return jac
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_analytic_jacobian_matches_minor_reference(n):
+    spec = perturbed_regular(n, np.random.default_rng(300 + n))
+    reference = minor_jacobian(spec)
+    assert np.abs(analytic_jacobian(spec) - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.array_equal(analytic_jacobian(spec) != 0, reference != 0)

@@ -174,6 +174,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimplexSpec(0, {})
     with pytest.raises(ValueError):
+        SimplexSpec(True, {(1, 2): 1.0})
+    for bad in (float("inf"), float("nan"), np.float64("-inf")):
+        with pytest.raises(ValueError):
+            SimplexSpec.from_vector(2, [1.0, bad, 1.0])
+    with pytest.raises(ValueError):
         all_face_volumes(regular_simplex(3), 4)
 
 
@@ -254,6 +259,18 @@ def test_exact_and_float_determinant_paths_agree():
             )
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_float_volumes_match_exact_bareiss(n):
+    # the exact twin holds the float spec's dyadic values, so only the
+    # arithmetic differs: batched float determinants against Bareiss
+    floats = perturbed_regular(n, np.random.default_rng(200 + n))
+    exact = SimplexSpec.from_vector(n, [Fraction(v) for v in floats.vector()])
+    assert exact.is_exact and not floats.is_exact
+    for d in range(n + 1):
+        got = all_face_volumes(floats, d).vector()
+        assert got == pytest.approx(all_face_volumes(exact, d).vector(), rel=1e-12, abs=0)
+
+
 def test_json_round_trip():
     spec = SimplexSpec.from_vector(2, [9, 16.5, 25])
     again = spec_from_json(spec_to_json(spec))
@@ -286,3 +303,5 @@ def test_json_rejects_malformed():
         spec_from_json({"n": 2, "squared_lengths": [1, 2, None]})
     with pytest.raises(ValueError):
         spec_from_json(json.loads('{"n": 2, "squared_lengths": [1, 2, "x/y"]}'))
+    with pytest.raises(ValueError):
+        spec_from_json({"n": True, "squared_lengths": [1]})
