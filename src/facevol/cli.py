@@ -32,13 +32,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _parse_face(text: str) -> tuple[int, ...]:
+def _parse_face(text: str, n: int) -> tuple[int, ...]:
     try:
         face = tuple(sorted(int(part) for part in text.split(",")))
     except ValueError:
         raise ValueError(f"bad face {text!r}; expected comma-separated vertex labels") from None
-    if not face:
-        raise ValueError("face must name at least one vertex")
+    if face[0] < 1 or face[-1] > n + 1:
+        raise ValueError(f"face {text!r} has a vertex label outside 1..{n + 1}")
     return face
 
 
@@ -77,7 +77,7 @@ def _emit(text: str, output_path) -> None:
 
 def _cmd_volume(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
-    face = _parse_face(args.face) if args.face else tuple(range(1, spec.n + 2))
+    face = _parse_face(args.face, spec.n) if args.face else tuple(range(1, spec.n + 2))
     sq = float(simplex.squared_volume(spec, face))
     report = {
         "schema_version": SCHEMA_VERSION,

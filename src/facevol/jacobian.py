@@ -27,13 +27,12 @@ from .simplex import (
     build_cm_matrix,
     cm_squared_volumes,
     cm_stack,
+    face_stack,
     face_vertices,
     face_volumes,
     is_realizable,
-    k_subsets,
     regular_simplex,
     squared_distance_matrix,
-    squared_volume,
     volume_scales,
 )
 
@@ -72,10 +71,6 @@ def regular_point_constants(n: int) -> RegularPointConstants:
         raise ValueError(f"need n >= 3, got {n}")
     nu = sqrt(n - 1) / (factorial(n - 2) * 2 ** ((n - 2) / 2))
     return RegularPointConstants(n=n, nu=nu, scale=2.0 / (n - 1) * nu)
-
-
-def face_volume(spec: SimplexSpec, face) -> float:
-    return sqrt(max(float(squared_volume(spec, face)), 0.0))
 
 
 @cache
@@ -200,18 +195,23 @@ def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
     return jac
 
 
+def _rank(jac: np.ndarray, rel_threshold: float = DEFAULT_RANK_THRESHOLD) -> tuple[int, float]:
+    """Numerical rank and min/max singular value ratio of a Jacobian."""
+    svals = np.linalg.svd(jac, compute_uv=False)
+    largest = float(svals[0])
+    if largest == 0.0:
+        return 0, 0.0
+    rank = int(np.sum(svals > rel_threshold * largest))
+    return rank, float(svals[-1]) / largest
+
+
 def jacobian_rank(spec: SimplexSpec, rel_threshold: float = DEFAULT_RANK_THRESHOLD):
     """Numerical rank and min/max singular value ratio of the Jacobian.
 
     Full rank binomial(n+1,2) certifies local algebraic independence of the
     codimension-2 face volumes at this spec.
     """
-    svals = np.linalg.svd(analytic_jacobian(spec), compute_uv=False)
-    largest = float(svals[0])
-    if largest == 0.0:
-        return 0, 0.0
-    rank = int(np.sum(svals > rel_threshold * largest))
-    return rank, float(svals[-1]) / largest
+    return _rank(analytic_jacobian(spec), rel_threshold)
 
 
 def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
@@ -224,7 +224,7 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
     jac = analytic_jacobian(regular_simplex(n))
     pattern = build_kneser_adjacency(n, 2).matrix.astype(float)
     deviation = float(np.abs(jac - constants.scale * pattern).max())
-    rank, ratio = jacobian_rank(regular_simplex(n))
+    rank, ratio = _rank(jac)
     return {
         "n": n,
         "constant": constants.scale,
@@ -239,20 +239,16 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
 def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
     """Max over faces of |sum_e l_e * dV/dl_e - face_dim * V|.
 
-    Volume is homogeneous of degree face_dim in the edge lengths, so the
-    residual vanishes for realizable data up to round-off.
+    Volume is homogeneous of degree face_dim in the edge lengths, so the residual
+    vanishes up to round-off; a degenerate face raises DegenerateFaceError.
     """
     n = spec.n
     if not 1 <= face_dim <= n:
         raise ValueError(f"face_dim must be in 1..{n}, got {face_dim}")
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
-    worst = 0.0
-    for face in k_subsets(n, face_dim + 1):
-        grad = volume_gradient(spec, face)
-        weighted = sum(
-            sqrt(float(spec.edge(i, j))) * g for (i, j), g in grad.items()
-        )
-        residual = abs(weighted - face_dim * face_volume(spec, face))
-        worst = max(worst, residual)
-    return worst
+    faces = face_vertices(n, face_dim)
+    stack, sq = face_stack(spec, faces)
+    a, b = _edge_positions(faces.shape[1])
+    weighted = (np.sqrt(stack[:, a, b]) * _gradients(faces, stack, sq)).sum(axis=1)
+    return float(np.abs(weighted - face_dim * np.sqrt(sq)).max())

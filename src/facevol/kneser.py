@@ -1,17 +1,17 @@
 """Exact spectra of Kneser graphs K(n+1,k) and line graphs of complete graphs.
 
 Vertices are the k-subsets of {1,...,n+1} in lexicographic order; two
-subsets are adjacent iff disjoint.  Eigenvalues, multiplicities and
-determinants are certified with exact integer arithmetic: an annihilating
-polynomial product proves the listed eigenvalues exhaust the spectrum, and
-a Vandermonde solve on power traces recovers multiplicities.
+subsets are adjacent iff disjoint.  The spectrum is certified once, with
+exact integer arithmetic: an annihilating polynomial product proves the
+listed eigenvalues exhaust it, power traces confirm the closed-form
+multiplicities, and the determinant is read off the certified spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -47,6 +47,19 @@ class SpectrumSpec:
     multiplicities: tuple[int, ...]
 
 
+def _intersection_sizes(n: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The k-subsets of {1,...,n+1} and |E & F| for every pair of them.
+
+    Sums k column gathers of the 0/1 incidence matrix, one per element of F,
+    not a product over the ground set, whose n+1 may far exceed k.
+    """
+    subsets = k_subsets(n, k)
+    elements = np.array(subsets) - 1
+    incidence = np.zeros((len(subsets), n + 1), dtype=np.min_scalar_type(k))
+    np.put_along_axis(incidence, elements, 1, axis=1)
+    return subsets, sum(incidence[:, elements[:, j]] for j in range(k))
+
+
 def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> KneserAdjacency:
     """Adjacency matrix of K(n+1,k): entry (E,F) = 1 iff E and F are disjoint."""
     if not 1 <= k <= n + 1:
@@ -56,14 +69,8 @@ def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -
         raise ValueError(
             f"order {order} exceeds limit {max_order}; pass max_order to override"
         )
-    subsets = k_subsets(n, k)
-    sets = [set(s) for s in subsets]
-    m = np.zeros((order, order), dtype=np.int64)
-    for a in range(order):
-        for b in range(a + 1, order):
-            if not sets[a] & sets[b]:
-                m[a, b] = m[b, a] = 1
-    return KneserAdjacency(n=n, k=k, subsets=tuple(subsets), matrix=m)
+    subsets, sizes = _intersection_sizes(n, k)
+    return KneserAdjacency(n=n, k=k, subsets=tuple(subsets), matrix=(sizes == 0).astype(np.int64))
 
 
 def predicted_eigenvalues(n: int, k: int) -> list[int]:
@@ -101,18 +108,14 @@ def multiplicities_from_traces(adj: KneserAdjacency, eigenvalues) -> list[int]:
     return mults
 
 
-def predicted_spectrum(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> SpectrumSpec:
-    """Eigenvalues of K(n+1,k) with multiplicities.
+def predicted_spectrum(n: int, k: int) -> SpectrumSpec:
+    """Eigenvalues of K(n+1,k) with their closed-form multiplicities.
 
-    For k=2 the multiplicities have the closed form (1, n, (n+1)(n-2)/2);
-    for k>2 they are recovered by the exact trace solve.
+    Eigenvalue i has multiplicity binomial(n+1,i) - binomial(n+1,i-1)
+    (Lovasz 1979); spectrum_report certifies both against the adjacency.
     """
     lams = predicted_eigenvalues(n, k)
-    if k == 2:
-        mults = [1, n, (n + 1) * (n - 2) // 2]
-    else:
-        adj = build_kneser_adjacency(n, k, max_order=max_order)
-        mults = multiplicities_from_traces(adj, lams)
+    mults = [comb(n + 1, i) - comb(n + 1, i - 1) if i else 1 for i in range(k + 1)]
     return SpectrumSpec(eigenvalues=tuple(lams), multiplicities=tuple(mults))
 
 
@@ -134,14 +137,7 @@ def line_graph_adjacency(n: int) -> np.ndarray:
     """Adjacency of L(K_{n+1}) on 2-subsets: 1 iff the subsets share one element."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    subsets = k_subsets(n, 2)
-    order = len(subsets)
-    a = np.zeros((order, order), dtype=np.int64)
-    for i in range(order):
-        for j in range(i + 1, order):
-            if len(set(subsets[i]) & set(subsets[j])) == 1:
-                a[i, j] = a[j, i] = 1
-    return a
+    return (_intersection_sizes(n, 2)[1] == 1).astype(np.int64)
 
 
 def line_graph_complement_check(n: int) -> bool:
@@ -151,32 +147,39 @@ def line_graph_complement_check(n: int) -> bool:
     Kneser adjacency for k=2.  The translation sends the line-graph
     eigenvalues t = (2n-2, -2, n-3) to binomial(n+1,2)-t1-1 and -t_i-1.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     a = line_graph_adjacency(n)
     m = build_kneser_adjacency(n, 2).matrix
-    order = a.shape[0]
-    identity_holds = bool(
-        np.array_equal(a + m + np.eye(order, dtype=np.int64), np.ones((order, order), dtype=np.int64))
-    )
+    identity_holds = bool(np.all(a + m + np.eye(len(a), dtype=np.int64) == 1))
     t1, t2, t3 = 2 * n - 2, -2, n - 3
     translated = [comb(n + 1, 2) - t1 - 1, -t2 - 1, -t3 - 1]
     translation_holds = translated == [comb(n - 1, 2), 1, 2 - n]
     return identity_holds and translation_holds
 
 
-def spectrum_report(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> dict:
-    """Full exact certificate: eigenvalues (descending), multiplicities, det, annihilation."""
-    adj = build_kneser_adjacency(n, k, max_order=max_order)
-    spectrum = predicted_spectrum(n, k, max_order=max_order)
-    pairs = sorted(
-        zip(spectrum.eigenvalues, spectrum.multiplicities), key=lambda p: -p[0]
-    )
+def spectrum_report(n: int, k: int) -> dict:
+    """Full exact certificate: eigenvalues (descending), multiplicities, det, annihilation.
+
+    Raises ArithmeticError unless sum_i m_i * lam_i^p = trace(M^p), p = 0..k;
+    with annihilation these certify the spectrum, so det = prod lam^m (else Bareiss).
+    """
+    spectrum = predicted_spectrum(n, k)
+    pairs = list(zip(spectrum.eigenvalues, spectrum.multiplicities))
+    adj = build_kneser_adjacency(n, k)
+    power = np.eye(adj.order, dtype=np.int64)
+    for p in range(k + 1):
+        if p:
+            power = exact_matmul(power, adj.matrix)
+        trace, expected = int(np.trace(power)), sum(m * lam**p for lam, m in pairs)
+        if trace != expected:
+            raise ArithmeticError(f"trace of M^{p} is {trace}, multiplicities give {expected}")
+    annihilated = verify_annihilation(adj, spectrum)
+    det = prod(lam**m for lam, m in pairs) if annihilated else exact_determinant(adj)
+    pairs.sort(key=lambda pair: -pair[0])
     return {
         "n": n,
         "k": k,
         "eigenvalues": [int(lam) for lam, _ in pairs],
         "multiplicities": [int(m) for _, m in pairs],
-        "det": str(exact_determinant(adj)),
-        "annihilation": verify_annihilation(adj, spectrum),
+        "det": str(det),
+        "annihilation": annihilated,
     }

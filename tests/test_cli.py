@@ -1,7 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
+from facevol import SpectrumSpec, kneser
 from facevol.cli import main
 
 
@@ -34,6 +36,15 @@ def test_volume_face_flag(capsys, tri_path):
     code, out, _ = run(capsys, "volume", "--input", tri_path, "--face", "1,2")
     assert code == 0
     assert json.loads(out)["squared_volume"] == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("face", ["0,1", "4"])
+def test_volume_face_outside_vertex_range_is_usage_error(capsys, tri_path, face):
+    code, out, err = run(capsys, "volume", "--input", tri_path, "--face", face)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("facevol volume:") and "1..3" in err
+    assert err.count("\n") == 1
 
 
 def test_volume_accepts_rational_strings(capsys, tmp_path):
@@ -74,6 +85,28 @@ def test_spectrum_command(capsys):
     assert report["multiplicities"] == [1, 5, 4]
     assert report["det"] == "48"
     assert report["annihilation"] is True
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (7, 4)])
+def test_spectrum_at_perfect_matching_boundary(capsys, n, k):
+    # 2k = n+1: K(n+1,k) is a perfect matching and the eigenvalues repeat
+    code, out, _ = run(capsys, "spectrum", "--n", str(n), "--k", str(k))
+    assert code == 0
+    report = json.loads(out)
+    assert sum(report["multiplicities"]) == comb(n + 1, k)
+    assert report["annihilation"] is True
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+def test_spectrum_wrong_multiplicity_is_caught(capsys, monkeypatch, n, k):
+    right = kneser.predicted_spectrum(n, k)
+    wrong = SpectrumSpec(right.eigenvalues, right.multiplicities[::-1])
+    monkeypatch.setattr(kneser, "predicted_spectrum", lambda n, k: wrong)
+    with pytest.raises(ArithmeticError):
+        kneser.spectrum_report(n, k)
+    code, out, err = run(capsys, "spectrum", "--n", str(n), "--k", str(k))
+    assert code == 2
+    assert out == "" and err.startswith("facevol spectrum: trace of M^")
 
 
 def test_spectrum_missing_k(capsys):

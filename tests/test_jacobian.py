@@ -7,6 +7,7 @@ import pytest
 from facevol import (
     BoundaryError,
     DegenerateFaceError,
+    all_face_volumes,
     analytic_jacobian,
     build_cm_matrix,
     build_instance,
@@ -23,7 +24,6 @@ from facevol import (
     verify_regular_point,
     vertices_to_spec,
 )
-from facevol.jacobian import face_volume
 from conftest import perturbed_regular
 
 
@@ -133,9 +133,7 @@ def test_euler_identity_regular_n4():
 def test_euler_identity_random():
     rng = np.random.default_rng(9)
     spec = perturbed_regular(5, rng)
-    scale = max(
-        face_volume(spec, face) for face in k_subsets(5, 4)
-    )
+    scale = all_face_volumes(spec, 3).vector().max()
     assert euler_identity_check(spec, 3) <= 1e-10 * scale
 
 
@@ -177,6 +175,9 @@ def test_degenerate_face_raises():
     spec = vertices_to_spec(pts)
     with pytest.raises(DegenerateFaceError) as excinfo:
         analytic_jacobian(spec)
+    assert {2, 5} <= set(excinfo.value.face)
+    with pytest.raises(DegenerateFaceError) as excinfo:
+        euler_identity_check(spec, 2)
     assert {2, 5} <= set(excinfo.value.face)
 
 

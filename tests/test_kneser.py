@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -15,6 +16,28 @@ from facevol import (
     spectrum_report,
     verify_annihilation,
 )
+
+
+def pairwise_shared(n, k, shared):
+    """Reference: 1 where two k-subsets share exactly `shared` elements, pair by pair."""
+    masks = [sum(1 << v for v in s) for s in combinations(range(n + 1), k)]
+    return np.array([[(a & b).bit_count() == shared for b in masks] for a in masks], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_adjacency_matches_pairwise_reference(n):
+    # every k with 2k <= n+1; for larger k the Kneser graph has no edges
+    for k in range(1, (n + 1) // 2 + 1):
+        assert np.array_equal(build_kneser_adjacency(n, k).matrix, pairwise_shared(n, k, 0)), k
+    assert np.array_equal(line_graph_adjacency(n), pairwise_shared(n, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, 2) for n in range(3, 13)] + [(n, 3) for n in range(5, 11)] + [(n, 4) for n in range(7, 10)],
+)
+def test_report_det_matches_bareiss(n, k):
+    assert spectrum_report(n, k)["det"] == str(exact_determinant(build_kneser_adjacency(n, k)))
 
 
 def test_petersen_adjacency():
