@@ -172,6 +172,8 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 
 def _cmd_invert(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
+    if spec.n < 2:
+        raise ValueError(f"dimension must be >= 2 to invert, got n={spec.n}")
     target = simplex.all_face_volumes(spec, spec.n - 2)
     tol = args.tol if args.tol is not None else 1e-10
     clusters = inverse.basin_probe(

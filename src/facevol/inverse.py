@@ -20,6 +20,7 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     realizable,
+    realizable_rows,
     spec_to_json,
 )
 
@@ -27,6 +28,7 @@ SQUARED_LENGTH_FLOOR = 1e-9
 STEP_STALL = 1e-15
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
+START_BLOCK = 64  # start draws made and tested per batch
 
 
 class StartDrawError(ValueError):
@@ -131,13 +133,24 @@ def result_to_json(result: SolveResult) -> dict:
 
 
 def random_realizable_spec(n: int, rng: np.random.Generator, max_tries: int = 10000) -> SimplexSpec:
-    """Squared lengths log-uniform in [0.25, 4], rejected until realizable."""
+    """Squared lengths log-uniform in [0.25, 4], rejected until realizable.
+
+    Draws are made and Gram-tested START_BLOCK at a time.  On a hit the
+    generator is rewound to the block's start and advanced past the accepted
+    draw only, so it ends where a one-draw-at-a-time loop would leave it.
+    """
     low, high = np.log(START_RANGE[0]), np.log(START_RANGE[1])
     dim = comb(n + 1, 2)
-    for _ in range(max_tries):
-        squared = np.exp(rng.uniform(low, high, size=dim))
-        if realizable(n, squared):
-            return SimplexSpec.from_vector(n, squared.tolist())
+    for first in range(0, max_tries, START_BLOCK):
+        state = rng.bit_generator.state
+        count = min(START_BLOCK, max_tries - first)
+        squared = np.exp(rng.uniform(low, high, size=(count, dim)))
+        hits = np.flatnonzero(realizable_rows(n, squared))
+        if hits.size:
+            row = int(hits[0])
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(row + 1) * dim)
+            return SimplexSpec.from_vector(n, squared[row].tolist())
     raise StartDrawError(f"no realizable start in {max_tries} draws for n={n}")
 
 

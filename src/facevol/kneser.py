@@ -67,7 +67,8 @@ def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -
     order = comb(n + 1, k)
     if order > max_order:
         raise ValueError(
-            f"order {order} exceeds limit {max_order}; pass max_order to override"
+            f"K({n + 1},{k}) has order {order}, above the limit of {max_order} "
+            f"vertices for an exact adjacency matrix"
         )
     subsets, sizes = _intersection_sizes(n, k)
     return KneserAdjacency(n=n, k=k, subsets=tuple(subsets), matrix=(sizes == 0).astype(np.int64))

@@ -62,12 +62,16 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n + 1, 1)
 
 
-def squared_distance_matrix(n: int, squared, dtype=float) -> np.ndarray:
-    """Symmetric (n+1)x(n+1) matrix with zero diagonal from squared lengths in lex pair order."""
+def squared_distance_matrix(n: int, squared: np.ndarray, dtype=float) -> np.ndarray:
+    """Symmetric (n+1)x(n+1) matrix with zero diagonal from squared lengths in lex pair order.
+
+    Leading axes are batch axes: squared lengths of shape (..., binomial(n+1, 2))
+    give matrices of shape (..., n+1, n+1).
+    """
     rows, cols = _pair_indices(n)
-    distances = np.zeros((n + 1, n + 1), dtype=dtype)
-    distances[rows, cols] = squared
-    distances[cols, rows] = squared
+    distances = np.zeros(squared.shape[:-1] + (n + 1, n + 1), dtype=dtype)
+    distances[..., rows, cols] = squared
+    distances[..., cols, rows] = squared
     return distances
 
 
@@ -212,7 +216,8 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
 
 def _exact_distances(spec: SimplexSpec) -> np.ndarray:
     """Squared distances as an object matrix holding the spec's exact values."""
-    return squared_distance_matrix(spec.n, list(spec.squared_lengths.values()), dtype=object)
+    values = np.array(list(spec.squared_lengths.values()), dtype=object)
+    return squared_distance_matrix(spec.n, values, dtype=object)
 
 
 def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -331,9 +336,9 @@ def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.nda
 
 
 def _gram(distances: np.ndarray) -> np.ndarray:
-    """Gram matrix on base vertex 1 of a squared-distance matrix."""
-    base = distances[0, 1:]
-    return 0.5 * (base[:, None] + base[None, :] - distances[1:, 1:])
+    """Gram matrix on base vertex 1 of a squared-distance matrix (or a stack of them)."""
+    base = distances[..., 0, 1:]
+    return 0.5 * (base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:])
 
 
 def gram_matrix(spec: SimplexSpec) -> np.ndarray:
@@ -341,11 +346,14 @@ def gram_matrix(spec: SimplexSpec) -> np.ndarray:
     return _gram(spec.distance_matrix)
 
 
-def _gram_test(distances: np.ndarray) -> tuple[float, float]:
-    """Smallest Gram eigenvalue and its tolerance for a squared-distance matrix."""
+def _gram_test(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest Gram eigenvalue and its tolerance for each squared-distance matrix.
+
+    Both results have the batch shape of `distances`; one matrix gives 0-d results.
+    """
     g = _gram(distances)
-    trace = float(np.trace(g))
-    return float(np.linalg.eigvalsh(g)[0]), REALIZABILITY_EIG_TOL * max(trace, 1e-300)
+    trace = g.trace(0, -2, -1)  # offset 0 over the last two axes
+    return np.linalg.eigvalsh(g)[..., 0], REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
 
 
 def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
@@ -355,7 +363,7 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     semidefinite; we accept eigenvalues down to -1e-10 * trace(G) so that
     boundary cases (degenerate but embeddable data) pass.
     """
-    low, tol = _gram_test(spec.distance_matrix)
+    low, tol = map(float, _gram_test(spec.distance_matrix))
     return RealizabilityCertificate(
         realizable=low >= -tol,
         min_eigenvalue=low,
@@ -363,9 +371,18 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     )
 
 
+def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
+    """The is_realizable test on each row of squared lengths in lex pair order.
+
+    `squared` has shape (..., binomial(n+1, 2)); the boolean result has shape (...).
+    """
+    low, tol = _gram_test(squared_distance_matrix(n, squared))
+    return low >= -tol
+
+
 def realizable(n: int, squared: np.ndarray) -> bool:
     """The is_realizable test on squared lengths in lex pair order, without a spec."""
-    low, tol = _gram_test(squared_distance_matrix(n, squared))
+    low, tol = map(float, _gram_test(squared_distance_matrix(n, squared)))
     return low >= -tol
 
 

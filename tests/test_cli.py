@@ -239,6 +239,27 @@ def test_invert_without_realizable_start_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_invert_one_dimensional_spec_is_usage_error(capsys, tmp_path):
+    path = write_spec(tmp_path, "segment.json", {"n": 1, "squared_lengths": [1]})
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, "invert", "--input", path, "--output", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("facevol invert:")
+    assert "dimension must be >= 2 to invert, got n=1" in err
+    assert "face_dim" not in err
+    assert err.count("\n") == 1
+
+
+def test_spectrum_over_order_limit_is_usage_error(capsys):
+    # K(21,5) has order 20349, above the 5000-vertex limit
+    code, out, err = run(capsys, "spectrum", "--n", "20", "--k", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("facevol spectrum:") and "20349" in err and "5000" in err
+    assert "max_order" not in err
+    assert err.count("\n") == 1
+
+
 def test_malformed_json_is_usage_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

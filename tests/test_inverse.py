@@ -9,6 +9,7 @@ from facevol import (
     InverseProblem,
     RealizabilityError,
     SimplexSpec,
+    StartDrawError,
     all_face_volumes,
     basin_probe,
     build_pair,
@@ -170,13 +171,26 @@ def reference_start(n, rng, max_tries=10000):
     raise AssertionError("reference found no realizable draw")
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_random_realizable_spec_matches_reference_loop(n):
+    # consecutive starts from one generator, as basin_probe draws them
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        spec = random_realizable_spec(n, rng)
-        assert np.array_equal(spec.vector(), reference_start(n, ref_rng))
+        for _ in range(5):
+            spec = random_realizable_spec(n, rng)
+            assert np.array_equal(spec.vector(), reference_start(n, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.uniform() == ref_rng.uniform()  # same number of draws consumed
+
+
+def test_random_realizable_spec_failure_consumes_max_tries_draws():
+    # 100 is not a multiple of the draw block; no draw embeds at n=6
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    with pytest.raises(StartDrawError, match="no realizable start in 100 draws"):
+        random_realizable_spec(6, rng, max_tries=100)
+    with pytest.raises(AssertionError):
+        reference_start(6, ref_rng, max_tries=100)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_basin_probe_mirror_target_pinned_counts():
