@@ -55,7 +55,6 @@ from .simplex import (
     all_face_volumes,
     build_cm_matrix,
     face_complement,
-    gram_matrix,
     is_realizable,
     k_subsets,
     lex_pairs,

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from math import sqrt
+from math import inf, sqrt
 
 from . import family, inverse, jacobian, kneser, simplex
 
@@ -40,6 +40,14 @@ def _parse_face(text: str, n: int) -> tuple[int, ...]:
     if face[0] < 1 or face[-1] > n + 1:
         raise ValueError(f"face {text!r} has a vertex label outside 1..{n + 1}")
     return face
+
+
+def tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite float."""
+    value = float(text)  # argparse reports a ValueError as "invalid tolerance value"
+    if not 0 < value < inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _report_json(report) -> str:
@@ -172,8 +180,8 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 
 def _cmd_invert(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
-    if spec.n < 2:
-        raise ValueError(f"dimension must be >= 2 to invert, got n={spec.n}")
+    if spec.n < 3:  # at n=2 the target is the vertex volumes, 1 for every start
+        raise ValueError(f"dimension must be >= 3 to invert, got n={spec.n}")
     target = simplex.all_face_volumes(spec, spec.n - 2)
     tol = args.tol if args.tol is not None else 1e-10
     clusters = inverse.basin_probe(
@@ -224,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("jacobian", "regular-point identity check or rank certificate")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
 
     p = add("spectrum", "exact Kneser spectrum certificate")
     p.add_argument("--n", type=int, default=None)
@@ -234,18 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
 
     p = add("invert", "multi-start inversion of the face-volume map")
     p.add_argument("--input", required=True)
     p.add_argument("--starts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
 
     p = add("sweep", "mirror-pair reports on a grid of offsets", format="csv")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--count", type=int, default=9)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
 
     return parser
 

@@ -1,8 +1,8 @@
 """Recover edge lengths from codimension-2 face volumes.
 
 Damped Gauss-Newton on the plain edge lengths: each step solves the
-regularized normal equations, backtracks by halving if it would leave the
-realizable region, and is accepted only when the residual does not
+regularized normal equations, is cut to its longest halving that stays in
+the realizable region, and is accepted only when the residual does not
 increase.  Multi-start probing exposes targets with several preimages,
 e.g. both members of a mirror pair.
 """
@@ -19,7 +19,6 @@ from .simplex import (
     FaceVolumeVector,
     RealizabilityError,
     SimplexSpec,
-    realizable,
     realizable_rows,
     spec_to_json,
 )
@@ -29,6 +28,7 @@ STEP_STALL = 1e-15
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
 START_BLOCK = 64  # start draws made and tested per batch
+HALVINGS = np.ldexp(1.0, -np.arange(1075))  # 2^-k down to the least subnormal
 
 
 class StartDrawError(ValueError):
@@ -61,9 +61,12 @@ def _squared(lengths: np.ndarray) -> np.ndarray:
 def solve(problem: InverseProblem) -> SolveResult:
     """Damped Gauss-Newton iteration for target = face volumes of dim n-2.
 
-    A step is halved until its squared lengths pass the Gram test; only
-    then is a spec built.  One kernel call per trial point gives its face
-    volumes and, should the point be accepted, the Jacobian of the next step.
+    Every halving step * 2^-k longer than STEP_STALL is Gram-tested in one
+    stacked call; the first that embeds is the trial point, the one
+    halve-and-retest reaches, as powers of two scale exactly.  One kernel
+    call per trial point gives its face volumes and, if it is accepted, the
+    next Jacobian.  The point is kept as squared lengths; a spec is built
+    only for the solution.
     """
     n = problem.n
     dim = comb(n + 1, 2)
@@ -73,10 +76,9 @@ def solve(problem: InverseProblem) -> SolveResult:
 
     lengths = np.sqrt(problem.start.vector())
     squared = _squared(lengths)
-    if not realizable(n, squared):
+    if not realizable_rows(n, squared):
         raise RealizabilityError("start spec is not realizable")
-    spec = SimplexSpec.from_vector(n, squared.tolist())
-    values, jac = volumes_and_jacobian(spec)
+    values, jac = volumes_and_jacobian(n, squared)
     norm = float(np.linalg.norm(values - target))
     trajectory = [norm]
     mu = problem.damping
@@ -90,21 +92,18 @@ def solve(problem: InverseProblem) -> SolveResult:
             mu = 1e-3 * float(np.trace(normal)) / dim
 
         step = np.linalg.solve(normal + mu * np.eye(dim), jac.T @ (target - values))
-        # halve until back inside the realizable region
-        while np.linalg.norm(step) > STEP_STALL:
-            squared = _squared(lengths + step)
-            if realizable(n, squared):
-                break
-            step = step / 2.0
-        if np.linalg.norm(step) <= STEP_STALL:
+        scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
+        trials = _squared(lengths + scales[:, None] * step)
+        hits = np.flatnonzero(realizable_rows(n, trials))
+        if not hits.size:
             break
 
-        trial = SimplexSpec.from_vector(n, squared.tolist())
-        trial_values, trial_jac = volumes_and_jacobian(trial)
+        trial = trials[hits[0]]
+        trial_values, trial_jac = volumes_and_jacobian(n, trial)
         trial_norm = float(np.linalg.norm(trial_values - target))
         if trial_norm <= norm:
-            lengths = np.sqrt(squared)
-            spec, values, jac = trial, trial_values, trial_jac
+            squared, lengths = trial, np.sqrt(trial)
+            values, jac = trial_values, trial_jac
             norm = trial_norm
             trajectory.append(norm)
             iterations += 1
@@ -115,7 +114,7 @@ def solve(problem: InverseProblem) -> SolveResult:
                 break
 
     return SolveResult(
-        solution=spec,
+        solution=SimplexSpec.from_vector(n, squared.tolist()),
         residual_norm=norm,
         iterations=iterations,
         converged=bool(norm <= problem.tol),

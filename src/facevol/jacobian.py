@@ -149,19 +149,20 @@ def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     return _jacobian(n, faces, stack, cm_squared_volumes(stack))
 
 
-def volumes_and_jacobian(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray | None]:
+def volumes_and_jacobian(n: int, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(n-2)-face volumes and their Jacobian from one CM stack (n >= 2).
 
-    For a spec already known to embed: there is no Gram check.  Raises
-    RealizabilityError at a face with negative squared volume, as
-    all_face_volumes does; the Jacobian is None when a face is degenerate.
+    `squared` holds float squared lengths in lex pair order, already known
+    to embed: there is no Gram check.  Raises RealizabilityError at a face
+    with negative squared volume, as all_face_volumes does; the Jacobian is
+    None when a face is degenerate.
     """
-    faces = face_vertices(spec.n, spec.n - 2)
-    stack = cm_stack(spec.distance_matrix, faces)
+    faces = face_vertices(n, n - 2)
+    stack = cm_stack(squared_distance_matrix(n, squared), faces)
     sq = cm_squared_volumes(stack)
     values = face_volumes(faces, stack, sq)
     try:
-        return values, _jacobian(spec.n, faces, stack, sq)
+        return values, _jacobian(n, faces, stack, sq)
     except DegenerateFaceError:
         return values, None
 

@@ -108,11 +108,12 @@ class SimplexSpec:
             raise ValueError(f"dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        expected = lex_pairs(self.n)
-        if set(self.squared_lengths) != set(expected):
+        count = comb(self.n + 1, 2)
+        # compare counts first: a wrong count at large n would list every pair
+        expected = lex_pairs(self.n) if len(self.squared_lengths) == count else None
+        if expected is None or set(self.squared_lengths) != set(expected):
             raise ValueError(
-                f"need exactly the {comb(self.n + 1, 2)} pairs (i,j), "
-                f"1 <= i < j <= {self.n + 1}"
+                f"need exactly the {count} pairs (i,j), 1 <= i < j <= {self.n + 1}"
             )
         for pair, value in self.squared_lengths.items():
             if not _is_exact(value) and not isfinite(value):
@@ -150,11 +151,11 @@ class SimplexSpec:
 
     @classmethod
     def from_vector(cls, n: int, values) -> "SimplexSpec":
-        pairs = lex_pairs(n)
         values = list(values)
-        if len(values) != len(pairs):
-            raise ValueError(f"expected {len(pairs)} squared lengths, got {len(values)}")
-        return cls(n, dict(zip(pairs, values)))
+        # count before listing the pairs; __post_init__ rejects n < 1
+        if n >= 1 and len(values) != comb(n + 1, 2):
+            raise ValueError(f"expected {comb(n + 1, 2)} squared lengths, got {len(values)}")
+        return cls(n, dict(zip(lex_pairs(n), values)))
 
 
 @dataclass(frozen=True)
@@ -341,11 +342,6 @@ def _gram(distances: np.ndarray) -> np.ndarray:
     return 0.5 * (base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:])
 
 
-def gram_matrix(spec: SimplexSpec) -> np.ndarray:
-    """Gram matrix relative to base vertex 1: G_ij = (q_1i + q_1j - q_ij)/2."""
-    return _gram(spec.distance_matrix)
-
-
 def _gram_test(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest Gram eigenvalue and its tolerance for each squared-distance matrix.
 
@@ -377,12 +373,6 @@ def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
     `squared` has shape (..., binomial(n+1, 2)); the boolean result has shape (...).
     """
     low, tol = _gram_test(squared_distance_matrix(n, squared))
-    return low >= -tol
-
-
-def realizable(n: int, squared: np.ndarray) -> bool:
-    """The is_realizable test on squared lengths in lex pair order, without a spec."""
-    low, tol = map(float, _gram_test(squared_distance_matrix(n, squared)))
     return low >= -tol
 
 
@@ -460,6 +450,8 @@ def spec_from_json(data: dict) -> SimplexSpec:
         raise ValueError('simplex JSON needs keys "n" and "squared_lengths"') from None
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(raw, list):
+        raise ValueError(f'"squared_lengths" must be a list, got {raw!r}')
     return SimplexSpec.from_vector(n, [_value_from_json(x) for x in raw])
 
 

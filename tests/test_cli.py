@@ -239,16 +239,30 @@ def test_invert_without_realizable_start_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_invert_one_dimensional_spec_is_usage_error(capsys, tmp_path):
-    path = write_spec(tmp_path, "segment.json", {"n": 1, "squared_lengths": [1]})
+@pytest.mark.parametrize("n", [1, 2])
+def test_invert_one_dimensional_spec_is_usage_error(capsys, tmp_path, n):
+    # at n=2 the target is the vertex volumes, all 1: every start would be a preimage
+    squared = [1] if n == 1 else [9, 16, 25]
+    path = write_spec(tmp_path, "low.json", {"n": n, "squared_lengths": squared})
     out_path = tmp_path / "never.json"
-    code, out, err = run(capsys, "invert", "--input", path, "--output", str(out_path))
+    code, out, err = run(capsys, "invert", "--input", path, "--starts", "3",
+                         "--output", str(out_path))
     assert code == 2
     assert out == "" and not out_path.exists()
     assert err.startswith("facevol invert:")
-    assert "dimension must be >= 2 to invert, got n=1" in err
+    assert f"dimension must be >= 3 to invert, got n={n}" in err
     assert "face_dim" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
+    spec = write_spec(tmp_path, "reg4.json", {"n": 4, "squared_lengths": [1] * 10})
+    for argv in (["jacobian", "--n", "4"], ["counterexample", "--n", "4", "--x", "0.5"],
+                 ["invert", "--input", spec, "--starts", "1"], ["sweep", "--n", "4"]):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == ""
+        assert f"argument --tol: must be a positive finite number, got '{tol}'" in err
 
 
 def test_spectrum_over_order_limit_is_usage_error(capsys):

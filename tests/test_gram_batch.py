@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
-from facevol.simplex import realizable, realizable_rows
+from facevol.simplex import realizable_rows
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
 
@@ -63,7 +63,6 @@ def test_stacked_gram_test_matches_single_rows(case):
     batched = realizable_rows(n, rows)
     assert batched.shape == (len(rows),)
     for row, verdict, flat in zip(rows, batched, boundary):
-        assert bool(verdict) == realizable(n, row)
         spec = SimplexSpec.from_vector(n, row.tolist())
         assert bool(verdict) == is_realizable(spec).realizable
         if flat:
@@ -76,4 +75,7 @@ def test_stacked_gram_test_keeps_batch_shape(n, rows, seed):
     squared = np.random.default_rng(seed).uniform(0.25, 4.0, size=(2, rows, comb(n + 1, 2)))
     batched = realizable_rows(n, squared)
     assert batched.shape == (2, rows)
-    assert batched.tolist() == [[realizable(n, row) for row in block] for block in squared]
+    assert batched.tolist() == [
+        [is_realizable(SimplexSpec.from_vector(n, row.tolist())).realizable for row in block]
+        for block in squared
+    ]

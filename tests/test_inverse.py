@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from facevol import (
+    DegenerateFaceError,
     FaceVolumeVector,
     InverseProblem,
     RealizabilityError,
     SimplexSpec,
     StartDrawError,
     all_face_volumes,
+    analytic_jacobian,
     basin_probe,
     build_pair,
+    family_constants,
+    is_realizable,
     k_subsets,
     lex_pairs,
     random_realizable_spec,
@@ -201,3 +205,80 @@ def test_basin_probe_mirror_target_pinned_counts():
     assert [c.iterations for c in clusters] == [6, 7]
     specials = [np.sort(c.solution.vector())[-1] for c in clusters]
     assert specials == pytest.approx([2.5, 1.5], abs=1e-8)
+
+
+def reference_solve(problem):
+    """Halve-and-retest Gauss-Newton with one spec per trial point.
+
+    Returns (solution spec, trajectory, iterations, stop reason).
+    """
+    n = problem.n
+    dim = comb(n + 1, 2)
+    target = problem.target.vector()
+
+    def evaluate(spec):
+        values = all_face_volumes(spec, n - 2).vector()
+        try:
+            return values, analytic_jacobian(spec)
+        except DegenerateFaceError:
+            return values, None
+
+    lengths = np.sqrt(problem.start.vector())
+    spec = SimplexSpec.from_vector(n, np.maximum(lengths**2, 1e-9).tolist())
+    values, jac = evaluate(spec)
+    norm = float(np.linalg.norm(values - target))
+    trajectory, mu, iterations, stop = [norm], problem.damping, 0, "max_iters"
+    for _ in range(problem.max_iters):
+        if norm <= problem.tol or jac is None:
+            stop = "done"
+            break
+        normal = jac.T @ jac
+        if mu <= 0.0:
+            mu = 1e-3 * float(np.trace(normal)) / dim
+        step = np.linalg.solve(normal + mu * np.eye(dim), jac.T @ (target - values))
+        while np.linalg.norm(step) > 1e-15:
+            trial = SimplexSpec.from_vector(n, np.maximum((lengths + step) ** 2, 1e-9).tolist())
+            if is_realizable(trial):
+                break
+            step = step / 2.0
+        if np.linalg.norm(step) <= 1e-15:
+            stop = "stall"
+            break
+        trial_values, trial_jac = evaluate(trial)
+        trial_norm = float(np.linalg.norm(trial_values - target))
+        if trial_norm <= norm:
+            lengths = np.sqrt(trial.vector())
+            spec, values, jac, norm = trial, trial_values, trial_jac, trial_norm
+            trajectory.append(norm)
+            iterations += 1
+            mu = mu / 10.0
+        else:
+            mu = mu * 10.0
+            if mu > 1e12:
+                stop = "damping"
+                break
+    return spec, trajectory, iterations, stop
+
+
+def test_solve_matches_halve_and_retest_reference():
+    # mirror pairs exist from n=4 on; at n=3 the target is the edge lengths
+    stops = []
+    for n in (3, 4, 5):
+        targets = [all_face_volumes(regular_simplex(n), n - 2)]
+        if n >= 4:
+            x = float(family_constants(n).x_max) / 2
+            targets.append(all_face_volumes(build_pair(n, x).minus.spec, n - 2))
+        for target in targets:
+            rng = np.random.default_rng(n)
+            for _ in range(10):
+                problem = InverseProblem(
+                    n=n, target=target, start=random_realizable_spec(n, rng), max_iters=200
+                )
+                result = solve(problem)
+                spec, trajectory, iterations, stop = reference_solve(problem)
+                assert result.trajectory == trajectory
+                assert result.iterations == iterations
+                assert result.converged == (trajectory[-1] <= problem.tol)
+                assert np.array_equal(result.solution.vector(), spec.vector())
+                stops.append(stop)
+    assert stops.count("stall") >= 5 and stops.count("done") >= 20

@@ -169,6 +169,8 @@ def test_vertices_to_spec_shape_errors():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SimplexSpec(2, {(1, 2): 1.0, (1, 3): 1.0})
+    with pytest.raises(ValueError, match="need exactly the 500000500000 pairs"):
+        SimplexSpec(10**6, {(1, 2): 1.0})  # rejected on the count, no pair listed
     with pytest.raises(ValueError):
         SimplexSpec.from_vector(2, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
@@ -305,3 +307,9 @@ def test_json_rejects_malformed():
         spec_from_json(json.loads('{"n": 2, "squared_lengths": [1, 2, "x/y"]}'))
     with pytest.raises(ValueError):
         spec_from_json({"n": True, "squared_lengths": [1]})
+    for raw in (5, None):
+        with pytest.raises(ValueError, match="must be a list"):
+            spec_from_json({"n": 2, "squared_lengths": raw})
+    # the count is compared before the 5e11 pairs would be listed
+    with pytest.raises(ValueError, match="expected 500000500000 squared lengths, got 1"):
+        spec_from_json({"n": 10**6, "squared_lengths": [1]})
