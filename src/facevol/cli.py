@@ -14,22 +14,13 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from math import inf, sqrt
 
 from . import family, inverse, jacobian, kneser, simplex
 
 SCHEMA_VERSION = "1"
 OUTPUT_DIR_ENV = "FACEVOL_OUTPUT_DIR"
-SWEEP_COLUMNS = [
-    "n",
-    "x",
-    "t_minus",
-    "t_plus",
-    "max_facevol_reldiff",
-    "vol_minus",
-    "vol_plus",
-    "vol_reldiff",
-]
 
 
 def _parse_face(text: str, n: int) -> tuple[int, ...]:
@@ -258,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built by the first main call of a process, then reused
+
 _COMMANDS = {
     "volume": _cmd_volume,
     "faces": _cmd_faces,
@@ -271,9 +264,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -285,7 +277,7 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         if args.format == "csv":
-            text = _rows_csv(report, SWEEP_COLUMNS)
+            text = _rows_csv(report, family.SWEEP_COLUMNS)
         else:
             text = _report_json({"schema_version": SCHEMA_VERSION, "rows": report})
     elif args.format == "csv":

@@ -1,60 +1,67 @@
 """Exact integer and rational linear algebra (desk scale).
 
-Determinants use Bareiss fraction-free elimination over Python ints, so
-results are exact for any matrix of integers or Fractions.  Matrix products
-take an int64 fast path when an a-priori bound rules out overflow and fall
-back to arbitrary-precision objects otherwise.
+Determinants come from one Bareiss fraction-free elimination kernel over
+stacks of Python-int matrices, so they are exact for integers and
+Fractions.  Matrix products take an int64 fast path when an a-priori bound
+rules out overflow and fall back to arbitrary-precision objects otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 _INT64_SAFE = 2**62
 
 
+def bareiss_determinants(stack: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of integer matrices, shape (count, m, m).
+
+    Entries must be Python ints (object dtype).  Each elimination step of
+    Bareiss fraction-free elimination is one array expression over the whole
+    stack; rows are swapped only in the matrices whose pivot is zero.  A
+    matrix with no nonzero pivot candidate is singular: its trailing block
+    eliminates to zeros, its last pivot is 0, and it is divided by 1, never 0.
+    """
+    a = np.array(stack, dtype=object)
+    count, m = a.shape[0], a.shape[-1]
+    odd = np.zeros(count, dtype=bool)  # odd number of row swaps
+    prev = np.ones(count, dtype=object)
+    for k in range(m - 1):
+        zero = np.flatnonzero(a[:, k, k] == 0)
+        below = a[zero, k + 1 :, k] != 0
+        found = below.any(axis=1)
+        swap, rows = zero[found], k + 1 + below[found].argmax(axis=1)
+        a[swap, k], a[swap, rows] = a[swap, rows], a[swap, k]
+        odd[swap] = ~odd[swap]
+        pivot = a[:, k, k]
+        # exact division is guaranteed by the Bareiss identity
+        a[:, k + 1 :, k + 1 :] = (
+            pivot[:, None, None] * a[:, k + 1 :, k + 1 :]
+            - a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+        ) // prev[:, None, None]
+        prev = np.where(pivot == 0, 1, pivot)
+    det = a[:, m - 1, m - 1] if m else np.ones(count, dtype=object)
+    return np.where(odd, -det, det)
+
+
 def int_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix (one-matrix Bareiss call)."""
     a = [list(map(int, row)) for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division is guaranteed by the Bareiss identity
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    return int(bareiss_determinants(np.array(a, dtype=object).reshape(1, n, n))[0])
 
 
 def fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a matrix of Fractions (or ints)."""
-    scaled = []
-    denom = 1
-    for row in rows:
-        frs = [Fraction(x) for x in row]
-        m = lcm(*(f.denominator for f in frs)) if frs else 1
-        scaled.append([int(f * m) for f in frs])
-        denom *= m
-    return Fraction(int_determinant(scaled), denom)
+    """Exact determinant of a matrix of Fractions (or ints), each row scaled to integers."""
+    frs = [[Fraction(x) for x in row] for row in rows]
+    scales = [lcm(*(f.denominator for f in row)) for row in frs]
+    scaled = [[int(f * m) for f in row] for row, m in zip(frs, scales)]
+    return Fraction(int_determinant(scaled), prod(scales))
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

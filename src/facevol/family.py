@@ -30,6 +30,10 @@ from .simplex import (
     squared_volume,
 )
 
+# verify_pair report keys that make a sweep row, in column order
+SWEEP_COLUMNS = ["n", "x", "t_minus", "t_plus", "max_facevol_reldiff",
+                 "vol_minus", "vol_plus", "vol_reldiff"]
+
 
 @dataclass(frozen=True)
 class FamilyConstants:
@@ -237,20 +241,6 @@ def sweep_rows(n: int, count: int = 9, tol: float = 1e-10) -> list[dict]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     x_max = family_constants(n).x_max
-    rows = []
-    for i in range(1, count + 1):
-        x = Fraction(i, count + 1) * x_max
-        report = build_pair(n, x, tol).report
-        rows.append(
-            {
-                "n": n,
-                "x": float(x),
-                "t_minus": report["t_minus"],
-                "t_plus": report["t_plus"],
-                "max_facevol_reldiff": report["max_facevol_reldiff"],
-                "vol_minus": report["vol_minus"],
-                "vol_plus": report["vol_plus"],
-                "vol_reldiff": report["vol_reldiff"],
-            }
-        )
-    return rows
+    reports = [build_pair(n, Fraction(i, count + 1) * x_max, tol).report
+               for i in range(1, count + 1)]
+    return [{column: report[column] for column in SWEEP_COLUMNS} for report in reports]

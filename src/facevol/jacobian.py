@@ -222,8 +222,9 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
     certificate at that point.
     """
     constants = regular_point_constants(n)
-    jac = analytic_jacobian(regular_simplex(n))
+    # the adjacency checks the Kneser order limit before any Jacobian is built
     pattern = build_kneser_adjacency(n, 2).matrix.astype(float)
+    jac = analytic_jacobian(regular_simplex(n))
     deviation = float(np.abs(jac - constants.scale * pattern).max())
     rank, ratio = _rank(jac)
     return {

@@ -6,7 +6,8 @@ determinants; when every squared length is an int or Fraction the
 determinant is evaluated exactly, otherwise in floating point.  Each spec
 holds its squared distances as one symmetric matrix; the CM matrices of
 all faces of a dimension are gathered from it into one stack, so the float
-path is a single batched determinant.
+path is a single batched determinant and the exact path a single stacked
+Bareiss elimination.
 
 Faces of dimension d are keyed by their complementary (n-d)-subset of the
 vertex set, in lexicographic order.  That ordering is shared with the
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, factorial, isfinite
+from math import comb, factorial, isfinite, lcm
 from numbers import Integral
 
 import numpy as np
 
-from .exact import fraction_determinant
+from .exact import bareiss_determinants
 
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
 ZERO_VOLUME_REL_TOL = 1e-12
@@ -199,11 +200,9 @@ def vertices_to_spec(vertices) -> SimplexSpec:
     if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 1:
         raise ValueError(f"expected n+1 points with n coordinates, got shape {pts.shape}")
     n = pts.shape[1]
-    lengths = {}
-    for i, j in lex_pairs(n):
-        diff = pts[i - 1] - pts[j - 1]
-        lengths[(i, j)] = float(diff @ diff)
-    return SimplexSpec(n, lengths)
+    rows, cols = _pair_indices(n)
+    diff = pts[rows] - pts[cols]
+    return SimplexSpec.from_vector(n, np.einsum("ij,ij->i", diff, diff).tolist())
 
 
 def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
@@ -215,10 +214,12 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
     return SimplexSpec(spec.n, lengths)
 
 
-def _exact_distances(spec: SimplexSpec) -> np.ndarray:
-    """Squared distances as an object matrix holding the spec's exact values."""
-    values = np.array(list(spec.squared_lengths.values()), dtype=object)
-    return squared_distance_matrix(spec.n, values, dtype=object)
+def _exact_distances(spec: SimplexSpec) -> tuple[np.ndarray, int]:
+    """Squared distances of an exact spec times the lcm L of their denominators, and L."""
+    values = [Fraction(v) for v in spec.squared_lengths.values()]
+    scale = lcm(*(v.denominator for v in values))
+    ints = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+    return squared_distance_matrix(spec.n, ints, dtype=object), scale
 
 
 def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -235,50 +236,44 @@ def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _face_row(spec: SimplexSpec, face: tuple[int, ...]) -> np.ndarray:
+    """The sorted face as a one-row array of 0-based vertices, after range checks."""
+    if len(set(face)) != len(face):
+        raise ValueError(f"face has repeated vertices: {face}")
+    if face[0] < 1 or face[-1] > spec.n + 1:
+        raise IndexError(f"face {face} outside vertex range 1..{spec.n + 1}")
+    return np.array([face]) - 1
+
+
 def build_cm_matrix(spec: SimplexSpec, face) -> np.ndarray:
     """Cayley-Menger matrix of the sub-simplex spanned by `face`.
 
     For a face with m+1 vertices this is the (m+2) x (m+2) symmetric matrix
     with zero diagonal, a border of ones in row/column 0, and squared edge
-    lengths elsewhere.  Exact specs yield an exact (object dtype) matrix.
+    lengths elsewhere.  Exact specs yield an object matrix of Fractions.
     """
     face = tuple(sorted(face))
     if len(face) < 2:
         raise ValueError(f"face needs at least 2 vertices, got {face}")
-    if len(set(face)) != len(face):
-        raise ValueError(f"face has repeated vertices: {face}")
-    if face[0] < 1 or face[-1] > spec.n + 1:
-        raise IndexError(f"face {face} outside vertex range 1..{spec.n + 1}")
-    distances = _exact_distances(spec) if spec.is_exact else spec.distance_matrix
-    return cm_stack(distances, np.array([face]) - 1)[0]
-
-
-def cm_determinant(cm: np.ndarray):
-    """Determinant of a Cayley-Menger matrix, exact when entries are exact."""
-    if cm.dtype == object:
-        return fraction_determinant([list(row) for row in cm])
-    return float(np.linalg.det(cm))
+    faces = _face_row(spec, face)
+    if not spec.is_exact:
+        return cm_stack(spec.distance_matrix, faces)[0]
+    distances, scale = _exact_distances(spec)
+    return cm_stack(distances * Fraction(1, scale), faces)[0]
 
 
 def squared_volume(spec: SimplexSpec, face):
     """Squared m-volume of the face via the Cayley-Menger determinant.
 
-    V^2 = (-1)^(m+1) / (2^m (m!)^2) * det C.  Points (m=0) have squared
-    volume 1 by convention; the value may be negative for data that does
-    not embed, callers decide how to treat that.
+    V^2 = (-1)^(m+1) / (2^m (m!)^2) * det C, a Fraction for exact specs and
+    a float otherwise.  Points (m=0) have squared volume 1 by convention;
+    the value may be negative for data that does not embed, callers decide
+    how to treat that.
     """
     face = tuple(sorted(face))
-    m = len(face) - 1
-    if m < 0:
+    if not face:
         raise ValueError("face must have at least one vertex")
-    if m == 0:
-        if face[0] < 1 or face[0] > spec.n + 1:
-            raise IndexError(f"vertex {face[0]} outside 1..{spec.n + 1}")
-        return Fraction(1) if spec.is_exact else 1.0
-    det = cm_determinant(build_cm_matrix(spec, face))
-    if isinstance(det, Fraction):
-        return _cm_prefactor(m) * det
-    return float(_cm_prefactor(m)) * det
+    return squared_volumes(spec, _face_row(spec, face)).item()
 
 
 def _cm_prefactor(m: int) -> Fraction:
@@ -294,18 +289,32 @@ def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
     return float(_cm_prefactor(stack.shape[-1] - 2)) * np.linalg.det(stack)
 
 
+def squared_volumes(spec: SimplexSpec, faces: np.ndarray) -> np.ndarray:
+    """Squared volumes of the faces: Fractions for exact specs, floats otherwise.
+
+    An exact spec's squared lengths are scaled to integers by the lcm L of
+    their denominators, which scales an order-(m+2) CM determinant by L^m,
+    and every determinant comes from one stacked Bareiss elimination.  Rows
+    0 and 1 are swapped up front (one sign flip), so the zero corner never
+    needs a pivot swap.
+    """
+    if not spec.is_exact:
+        return cm_squared_volumes(cm_stack(spec.distance_matrix, faces))
+    distances, scale = _exact_distances(spec)
+    stack = cm_stack(distances, faces)
+    stack[:, [0, 1]] = stack[:, [1, 0]]
+    m = faces.shape[1] - 1
+    return bareiss_determinants(stack) * (-_cm_prefactor(m) / scale**m)
+
+
 def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float CM stack of the faces and their squared volumes as floats.
 
-    Float specs take one batched determinant; exact specs take Bareiss per
-    face, rounded to float only at the end.
+    Exact squared volumes are rounded to float only at the end.
     """
     stack = cm_stack(spec.distance_matrix, faces)
-    if not spec.is_exact:
-        return stack, cm_squared_volumes(stack)
-    prefactor = _cm_prefactor(faces.shape[1] - 1)
-    exact = cm_stack(_exact_distances(spec), faces)
-    return stack, np.array([float(prefactor * cm_determinant(cm)) for cm in exact])
+    sq = squared_volumes(spec, faces) if spec.is_exact else cm_squared_volumes(stack)
+    return stack, sq.astype(float)
 
 
 def volume_scales(stack: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from facevol import SpectrumSpec, kneser
+from facevol import SpectrumSpec, jacobian, kneser
 from facevol.cli import main
 
 
@@ -272,6 +272,27 @@ def test_spectrum_over_order_limit_is_usage_error(capsys):
     assert err.startswith("facevol spectrum:") and "20349" in err and "5000" in err
     assert "max_order" not in err
     assert err.count("\n") == 1
+
+
+def test_jacobian_over_order_limit_builds_no_jacobian(capsys, monkeypatch):
+    # K(101,2) has order 5050: the limit is checked before 5050 CM inverses of order 100
+    def no_jacobian(spec):
+        raise AssertionError("the Jacobian was built before the order check")
+
+    monkeypatch.setattr(jacobian, "analytic_jacobian", no_jacobian)
+    code, out, err = run(capsys, "jacobian", "--n", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("facevol jacobian:") and "order 5050" in err
+    assert err.count("\n") == 1
+
+
+def test_parser_reused_after_usage_error(capsys, tri_path):
+    argv = ["volume", "--input", tri_path, "--face", "1,2"]
+    first = run(capsys, *argv)
+    code, out, err = run(capsys, "volume", "--face")
+    assert code == 2 and out == "" and "usage:" in err
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and json.loads(first[1])["squared_volume"] == 9
 
 
 def test_malformed_json_is_usage_error(capsys, tmp_path):
