@@ -2,8 +2,9 @@
 
 Determinants come from one Bareiss fraction-free elimination kernel over
 stacks of Python-int matrices, so they are exact for integers and
-Fractions.  Matrix products take an int64 fast path when an a-priori bound
-rules out overflow and fall back to arbitrary-precision objects otherwise.
+Fractions.  Matrix products run in float64 (a BLAS product) or int64, and
+entrywise product sums in int64, when an a-priori bound makes every partial
+sum an exactly representable integer; they fall back to Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from math import lcm, prod
 
 import numpy as np
 
+_FLOAT64_EXACT = 2**53
 _INT64_SAFE = 2**62
 
 
@@ -64,20 +66,47 @@ def fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(int_determinant(scaled), prod(scales))
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two integer matrices.
+def exact_int_dtype(bound: int) -> type:
+    """Dtype for exact integer sums whose partial sums are below `bound`.
 
-    Uses int64 when max|a|*max|b|*inner_dim stays below 2**62 (no overflow
-    possible), otherwise multiplies with Python ints.
+    int64 below 2**62, else object (Python ints).
+    """
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _amax(a: np.ndarray) -> int:
+    """max|a|, at least 1, so a bound on it also bounds each factor."""
+    return max(int(np.abs(a).max(initial=0)), 1)
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two integer matrices, int64 unless it needs Python ints.
+
+    The dtype comes from the bound max|a|*max|b|*inner_dim on every partial
+    sum.  Below 2**53 it is float64, a BLAS product: every partial sum is an
+    integer that float64 holds exactly, so the result is exact in any
+    summation order, fused multiply-adds included.  Below 2**62 it is int64,
+    and Python ints above.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    amax = int(np.abs(a).max(initial=0))
-    bmax = int(np.abs(b).max(initial=0))
-    inner = a.shape[1]
-    if amax * bmax * inner < _INT64_SAFE:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return np.dot(a.astype(object), b.astype(object))
+    bound = _amax(a) * _amax(b) * a.shape[1]
+    dtype = np.float64 if bound < _FLOAT64_EXACT else exact_int_dtype(bound)
+    product = a.astype(dtype) @ b.astype(dtype)
+    return product.astype(np.int64) if dtype is np.float64 else product
+
+
+def exact_hadamard_sum(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of the entrywise product of two integer arrays of one shape.
+
+    For symmetric a, this is trace(a @ b).  It sums in int64 when the bound
+    max|a|*max|b|*size on every partial sum is below 2**62, else in Python ints.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    dtype = exact_int_dtype(_amax(a) * _amax(b) * a.size)
+    a, b = a.astype(dtype, copy=False).ravel(), b.astype(dtype, copy=False).ravel()
+    return int(np.einsum("i,i->", a, b))
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

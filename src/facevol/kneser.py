@@ -15,7 +15,13 @@ from math import comb, prod
 
 import numpy as np
 
-from .exact import exact_matmul, int_determinant, solve_fraction_system
+from .exact import (
+    exact_hadamard_sum,
+    exact_int_dtype,
+    exact_matmul,
+    int_determinant,
+    solve_fraction_system,
+)
 from .simplex import k_subsets
 
 MAX_ORDER_DEFAULT = 5000
@@ -92,11 +98,11 @@ def multiplicities_from_traces(adj: KneserAdjacency, eigenvalues) -> list[int]:
     lams = [int(lam) for lam in eigenvalues]
     if len(set(lams)) != len(lams):
         raise ValueError(f"eigenvalues must be pairwise distinct: {lams}")
-    traces = []
-    power = np.eye(adj.order, dtype=np.int64)
-    for _ in range(len(lams)):
+    traces, power = [adj.order], adj.matrix
+    for p in range(1, len(lams)):
+        if p > 1:
+            power = exact_matmul(power, adj.matrix)
         traces.append(int(np.trace(power)))
-        power = exact_matmul(power, adj.matrix)
     rows = [[Fraction(lam) ** p for lam in lams] for p in range(len(lams))]
     solution = solve_fraction_system(rows, [Fraction(t) for t in traces])
     mults = []
@@ -123,9 +129,9 @@ def predicted_spectrum(n: int, k: int) -> SpectrumSpec:
 def verify_annihilation(adj: KneserAdjacency, spectrum: SpectrumSpec) -> bool:
     """True iff the product of (M - lam*I) over the spectrum is exactly zero."""
     eye = np.eye(adj.order, dtype=np.int64)
-    product = eye
-    for lam in spectrum.eigenvalues:
-        product = exact_matmul(product, adj.matrix - int(lam) * eye)
+    product, *rest = (adj.matrix - int(lam) * eye for lam in spectrum.eigenvalues)
+    for factor in rest:
+        product = exact_matmul(product, factor)
     return not np.any(product != 0)
 
 
@@ -157,23 +163,51 @@ def line_graph_complement_check(n: int) -> bool:
     return identity_holds and translation_holds
 
 
+def _polynomial_at(powers: list[np.ndarray], roots: list[int]) -> np.ndarray:
+    """(M - r_1 I)...(M - r_d I) for nonnegative M, exactly, from powers [M, ..., M^h], d <= h.
+
+    Expands the product into coefficients c_j and sums c_j M^j, in a dtype
+    chosen from the bound sum_j |c_j| max(M^j) on every entry and partial sum.
+    """
+    coeffs = [1]  # coeffs[j] multiplies x^j
+    for r in roots:
+        coeffs = [hi - r * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    bound = abs(coeffs[0]) + sum(abs(c) * int(p.max()) for c, p in zip(coeffs[1:], powers))
+    dtype = exact_int_dtype(bound)
+    value = sum(c * p.astype(dtype, copy=False) for c, p in zip(coeffs[1:], powers))
+    value[np.diag_indices_from(value)] += coeffs[0]
+    return value
+
+
 def spectrum_report(n: int, k: int) -> dict:
     """Full exact certificate: eigenvalues (descending), multiplicities, det, annihilation.
 
     Raises ArithmeticError unless sum_i m_i * lam_i^p = trace(M^p), p = 0..k;
     with annihilation these certify the spectrum, so det = prod lam^m (else Bareiss).
+
+    With h = ceil((k+1)/2), M^2..M^h are built once (h - 1 products).  M is
+    symmetric, so trace(M^(a+b)) = sum(M^a o M^b) gives every trace from
+    them.  The annihilating polynomial prod(x - lam_i) over all k+1 listed
+    eigenvalues (repeats kept) splits as Q*R with deg Q = h >= deg R, so it
+    vanishes at M iff Q(M) @ R(M) = 0: one more product, h in all.
     """
     spectrum = predicted_spectrum(n, k)
     pairs = list(zip(spectrum.eigenvalues, spectrum.multiplicities))
     adj = build_kneser_adjacency(n, k)
-    power = np.eye(adj.order, dtype=np.int64)
-    for p in range(k + 1):
-        if p:
-            power = exact_matmul(power, adj.matrix)
-        trace, expected = int(np.trace(power)), sum(m * lam**p for lam, m in pairs)
+    h = (k + 2) // 2
+    powers = [adj.matrix]  # powers[a - 1] = M^a
+    while len(powers) < h:
+        powers.append(exact_matmul(powers[-1], adj.matrix))
+    traces = [adj.order, int(np.trace(adj.matrix))] + [
+        exact_hadamard_sum(powers[(p + 1) // 2 - 1], powers[p // 2 - 1]) for p in range(2, k + 1)
+    ]
+    for p, trace in enumerate(traces):
+        expected = sum(m * lam**p for lam, m in pairs)
         if trace != expected:
             raise ArithmeticError(f"trace of M^{p} is {trace}, multiplicities give {expected}")
-    annihilated = verify_annihilation(adj, spectrum)
+    roots = [int(lam) for lam in spectrum.eigenvalues]
+    product = exact_matmul(_polynomial_at(powers, roots[:h]), _polynomial_at(powers, roots[h:]))
+    annihilated = not np.any(product != 0)
     det = prod(lam**m for lam, m in pairs) if annihilated else exact_determinant(adj)
     pairs.sort(key=lambda pair: -pair[0])
     return {

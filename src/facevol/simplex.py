@@ -137,6 +137,19 @@ class SimplexSpec:
         distances.setflags(write=False)
         return distances
 
+    @cached_property
+    def exact_distances(self) -> tuple[np.ndarray, int]:
+        """Squared distances times the lcm L of their denominators, and L.
+
+        The matrix holds Python ints (object dtype) and is read-only.
+        """
+        values = [Fraction(v) for v in self.squared_lengths.values()]
+        scale = lcm(*(v.denominator for v in values))
+        ints = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+        distances = squared_distance_matrix(self.n, ints, dtype=object)
+        distances.setflags(write=False)
+        return distances, scale
+
     def edge(self, i: int, j: int):
         if i == j:
             raise IndexError(f"edge endpoints must differ, got ({i},{j})")
@@ -214,14 +227,6 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
     return SimplexSpec(spec.n, lengths)
 
 
-def _exact_distances(spec: SimplexSpec) -> tuple[np.ndarray, int]:
-    """Squared distances of an exact spec times the lcm L of their denominators, and L."""
-    values = [Fraction(v) for v in spec.squared_lengths.values()]
-    scale = lcm(*(v.denominator for v in values))
-    ints = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
-    return squared_distance_matrix(spec.n, ints, dtype=object), scale
-
-
 def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Cayley-Menger matrices of many faces at once, shape (faces, m+2, m+2).
 
@@ -258,7 +263,7 @@ def build_cm_matrix(spec: SimplexSpec, face) -> np.ndarray:
     faces = _face_row(spec, face)
     if not spec.is_exact:
         return cm_stack(spec.distance_matrix, faces)[0]
-    distances, scale = _exact_distances(spec)
+    distances, scale = spec.exact_distances
     return cm_stack(distances * Fraction(1, scale), faces)[0]
 
 
@@ -300,7 +305,7 @@ def squared_volumes(spec: SimplexSpec, faces: np.ndarray) -> np.ndarray:
     """
     if not spec.is_exact:
         return cm_squared_volumes(cm_stack(spec.distance_matrix, faces))
-    distances, scale = _exact_distances(spec)
+    distances, scale = spec.exact_distances
     stack = cm_stack(distances, faces)
     stack[:, [0, 1]] = stack[:, [1, 0]]
     m = faces.shape[1] - 1

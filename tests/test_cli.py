@@ -109,6 +109,32 @@ def test_spectrum_wrong_multiplicity_is_caught(capsys, monkeypatch, n, k):
     assert out == "" and err.startswith("facevol spectrum: trace of M^")
 
 
+def test_spectrum_annihilation_failure_falls_back_to_bareiss(capsys, monkeypatch):
+    exact_matmul, exact_determinant = kneser.exact_matmul, kneser.exact_determinant
+    products, bareiss = [], []
+
+    def nonzero_annihilator(a, b):
+        products.append(None)
+        product = exact_matmul(a, b)
+        # K(7,3) takes two products per report: M^2, then Q(M) @ R(M)
+        return product + 1 if len(products) % 2 == 0 else product
+
+    def recorded_determinant(adj):
+        bareiss.append(adj)
+        return exact_determinant(adj)
+
+    monkeypatch.setattr(kneser, "exact_matmul", nonzero_annihilator)
+    monkeypatch.setattr(kneser, "exact_determinant", recorded_determinant)
+    report = kneser.spectrum_report(6, 3)
+    assert report["annihilation"] is False
+    assert len(bareiss) == 1
+    assert report["det"] == str(exact_determinant(bareiss[0]))
+    code, out, err = run(capsys, "spectrum", "--n", "6", "--k", "3")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"schema_version": "1", **report}
+    assert len(products) == 4 and len(bareiss) == 2
+
+
 def test_spectrum_missing_k(capsys):
     code, _, err = run(capsys, "spectrum", "--n", "4")
     assert code == 2

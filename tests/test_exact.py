@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from facevol import SimplexSpec, build_cm_matrix, squared_volume
+from facevol import exact
 from facevol.exact import (
     bareiss_determinants,
+    exact_hadamard_sum,
     exact_matmul,
     fraction_determinant,
     int_determinant,
@@ -189,6 +191,93 @@ def test_exact_matmul_bigint_fallback():
     assert product[0, 0] == big * big  # exceeds int64
     assert product[0, 1] == 2 * big
     assert product.dtype == object
+
+
+@pytest.fixture
+def int_dtype_calls(monkeypatch):
+    """Record (bound, dtype) of every int64-or-object choice; the float64 path makes none."""
+    calls = []
+    choose = exact.exact_int_dtype
+
+    def spy(bound):
+        calls.append((bound, choose(bound)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(exact, "exact_int_dtype", spy)
+    return calls
+
+
+def pinned(rng, shape, amax):
+    """Random int64 entries in [-amax, amax], with entry 0 equal to -amax."""
+    a = rng.integers(-amax, amax + 1, size=shape, dtype=np.int64)
+    a.flat[0] = -amax
+    return a
+
+
+@pytest.mark.parametrize(
+    "inner, amax, bmax, path",
+    [
+        (2, 2**26, 2**26 - 1, np.float64),  # bound 2**53 - 2**27
+        (2, 2**26, 2**26, np.int64),  # bound exactly 2**53
+        (4, 2**30, 2**30 - 1, np.int64),  # bound 2**62 - 2**32
+        (4, 2**30, 2**30, object),  # bound exactly 2**62
+    ],
+)
+def test_exact_matmul_paths_at_their_bounds(int_dtype_calls, inner, amax, bmax, path):
+    rng = np.random.default_rng(inner + amax + bmax)
+    a, b = pinned(rng, (3, inner), amax), pinned(rng, (inner, 5), bmax)
+    product = exact_matmul(a, b)
+    assert int_dtype_calls == ([] if path is np.float64 else [(amax * bmax * inner, path)])
+    assert product.dtype == (object if path is object else np.int64)
+    assert product.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+
+
+def test_exact_matmul_float_path_keeps_odd_sums_near_its_bound(int_dtype_calls):
+    big = 2**26 - 1
+    a = np.array([[2**26, big], [-big, 2**26]])
+    b = np.array([[big, -big], [big, big]])
+    product = exact_matmul(a, b)
+    assert int_dtype_calls == []
+    assert product[0, 0] == big * (2**27 - 1) == 2**53 - 3 * 2**26 + 1  # odd, just below 2**53
+    assert product.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+
+
+def test_exact_matmul_zero_factor_never_casts_big_entries(int_dtype_calls):
+    # max|b| = 0 must not let a's 2**70 through to a float64 or int64 cast
+    a = np.array([[2**70, 1]], dtype=object)
+    product = exact_matmul(a, np.zeros((2, 2), dtype=np.int64))
+    assert product.tolist() == [[0, 0]]
+    assert int_dtype_calls == [(2**71, object)]
+
+
+@pytest.mark.parametrize(
+    "amax, bmax, path",
+    [
+        (2**30, 2**30 - 1, np.int64),  # bound 2**62 - 2**32 over 4 entries
+        (2**30, 2**30, object),  # bound exactly 2**62
+    ],
+)
+def test_exact_hadamard_sum_paths_at_their_bounds(int_dtype_calls, amax, bmax, path):
+    rng = np.random.default_rng(amax + bmax)
+    a, b = pinned(rng, (2, 2), amax), pinned(rng, (2, 2), bmax)
+    total = exact_hadamard_sum(a, b)
+    assert int_dtype_calls == [(amax * bmax * 4, path)]
+    assert type(total) is int
+    assert total == sum(x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist()))
+
+
+def test_exact_hadamard_sum_past_int64():
+    a = np.full((2, 2), -(2**32))
+    assert exact_hadamard_sum(a, a) == 2**66  # an int64 sum would wrap
+
+
+def test_exact_hadamard_sum_is_trace_of_symmetric_product():
+    rng = np.random.default_rng(7)
+    for size in (1, 5, 9):
+        s = rng.integers(-9, 10, size=(size, size))
+        s = s + s.T
+        t = rng.integers(-9, 10, size=(size, size))
+        assert exact_hadamard_sum(s, t) == np.trace(s @ t)
 
 
 def test_solve_fraction_system_exact():

@@ -1,5 +1,6 @@
+import json
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from facevol import (
     SpectrumSpec,
     build_kneser_adjacency,
     exact_determinant,
+    kneser,
     line_graph_adjacency,
     line_graph_complement_check,
     multiplicities_from_traces,
@@ -16,6 +18,10 @@ from facevol import (
     spectrum_report,
     verify_annihilation,
 )
+from facevol.exact import exact_matmul
+
+# the (n, k) of every spectrum request in the certify-volumes bench workload
+BENCH_CASES = [(n, 2) for n in range(4, 13)] + [(n, 3) for n in range(6, 13)] + [(8, 4), (9, 4)]
 
 
 def pairwise_shared(n, k, shared):
@@ -226,3 +232,76 @@ def test_spectrum_report_shape():
     assert report["multiplicities"] == [1, 5, 4]
     assert report["det"] == "48"
     assert report["annihilation"] is True
+
+
+def reference_report(n, k):
+    """spectrum_report built one product per power: traces of M^0..M^k, then verify_annihilation."""
+    spectrum = predicted_spectrum(n, k)
+    pairs = list(zip(spectrum.eigenvalues, spectrum.multiplicities))
+    adj = build_kneser_adjacency(n, k)
+    power = np.eye(adj.order, dtype=np.int64)
+    for p in range(k + 1):
+        assert int(np.trace(power)) == sum(m * lam**p for lam, m in pairs), p
+        power = power @ adj.matrix
+    annihilated = verify_annihilation(adj, spectrum)
+    det = prod(lam**m for lam, m in pairs) if annihilated else exact_determinant(adj)
+    pairs.sort(key=lambda pair: -pair[0])
+    return {
+        "n": n,
+        "k": k,
+        "eigenvalues": [lam for lam, _ in pairs],
+        "multiplicities": [m for _, m in pairs],
+        "det": str(det),
+        "annihilation": annihilated,
+    }
+
+
+@pytest.mark.parametrize("n, k", BENCH_CASES + [(3, 2), (5, 3), (7, 4)])
+def test_report_matches_per_power_reference(n, k):
+    assert json.dumps(spectrum_report(n, k)) == json.dumps(reference_report(n, k))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The operands of every exact_matmul call made from kneser."""
+    calls = []
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(kneser, "exact_matmul", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, k, count", [(3, 2, 2), (12, 2, 2), (5, 3, 2), (12, 3, 2), (7, 4, 3), (9, 4, 3)]
+)
+def test_report_products(products, n, k, count):
+    # M^2..M^h with h = ceil((k+1)/2), then Q(M) @ R(M)
+    spectrum_report(n, k)
+    assert len(products) == count
+
+
+def test_reference_certificates_skip_identity_products(products):
+    adj = build_kneser_adjacency(8, 4)
+    spectrum = predicted_spectrum(8, 4)  # five distinct eigenvalues
+    eye = np.eye(adj.order, dtype=np.int64)
+    assert verify_annihilation(adj, spectrum)
+    assert len(products) == 4  # five factors (M - lam I)
+    assert multiplicities_from_traces(adj, spectrum.eigenvalues) == list(spectrum.multiplicities)
+    assert len(products) == 4 + 3  # M^2, M^3, M^4
+    assert not any(np.array_equal(x, eye) for pair in products for x in pair)
+
+
+@pytest.mark.parametrize("roots", [[3, -2], [20, -10, 4], [2**40, -(2**40)]])
+def test_polynomial_at_matches_factor_product(roots):
+    matrix = build_kneser_adjacency(8, 3).matrix
+    powers = [matrix, matrix @ matrix, matrix @ matrix @ matrix]
+    eye = np.eye(len(matrix), dtype=object)
+    expected = eye
+    for r in roots:
+        expected = np.dot(expected, matrix.astype(object) - r * eye)
+    value = kneser._polynomial_at(powers, roots)
+    assert value.dtype == (object if roots[0] == 2**40 else np.int64)  # -2**80 I needs Python ints
+    assert value.tolist() == expected.tolist()

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, factorial, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -23,6 +23,8 @@ from facevol import (
     squared_volume,
     vertices_to_spec,
 )
+from facevol.exact import fraction_determinant
+from facevol.simplex import face_vertices, squared_volumes
 from conftest import coordinate_volume_sq, perturbed_regular
 
 
@@ -259,6 +261,30 @@ def test_exact_and_float_determinant_paths_agree():
             assert float(squared_volume(floats, face)) == pytest.approx(
                 float(sq_exact), rel=1e-12, abs=1e-15
             )
+
+
+def test_exact_distances_cached_and_read_only():
+    rng = np.random.default_rng(23)
+    n = 5
+    pairs = zip(rng.integers(10, 40, 15).tolist(), rng.integers(1, 7, 15).tolist())
+    spec = SimplexSpec.from_vector(n, [Fraction(p, q) for p, q in pairs])
+    distances, scale = spec.exact_distances
+    assert spec.exact_distances[0] is distances  # built once per spec
+    assert scale == lcm(*(v.denominator for v in spec.squared_lengths.values()))
+    for (i, j), value in spec.squared_lengths.items():
+        assert type(distances[i - 1, j - 1]) is int
+        assert distances[i - 1, j - 1] == distances[j - 1, i - 1] == value * scale
+    assert not distances.flags.writeable
+    with pytest.raises(ValueError):
+        distances[0, 1] = 0
+    for d in range(1, n + 1):
+        faces = face_vertices(n, d)
+        for face, value in zip((faces + 1).tolist(), squared_volumes(spec, faces)):
+            rows = [[1] + [spec.edge(a, b) if a != b else 0 for b in face] for a in face]
+            cm = [[0] + [1] * (d + 1)] + rows
+            prefactor = Fraction((-1) ** (d + 1), 2**d * factorial(d) ** 2)
+            assert value == squared_volume(spec, face) == prefactor * fraction_determinant(cm)
+    assert spec.exact_distances[0] is distances
 
 
 @pytest.mark.parametrize("n", range(3, 11))
