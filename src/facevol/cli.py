@@ -41,6 +41,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    value = int(text)  # argparse reports a ValueError as "invalid seed value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _report_json(report) -> str:
     return json.dumps(report, indent=2) + "\n"
 
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("invert", "multi-start inversion of the face-volume map")
     p.add_argument("--input", required=True)
     p.add_argument("--starts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--tol", type=tolerance, default=None)
 
     p = add("sweep", "mirror-pair reports on a grid of offsets", format="csv")

@@ -3,8 +3,11 @@
 Damped Gauss-Newton on the plain edge lengths: each step solves the
 regularized normal equations, is cut to its longest halving that stays in
 the realizable region, and is accepted only when the residual does not
-increase.  Multi-start probing exposes targets with several preimages,
-e.g. both members of a mirror pair.
+increase.  A solve reports why it stopped: converged, degenerate_face (the
+Jacobian is undefined), step_stall (no halving above STEP_STALL embeds),
+damping_overflow (the damping passed MAX_DAMPING) or max_iters.
+Multi-start probing exposes targets with several preimages, e.g. both
+members of a mirror pair.
 """
 
 from __future__ import annotations
@@ -14,17 +17,20 @@ from math import comb
 
 import numpy as np
 
-from .jacobian import volumes_and_jacobian
+from .jacobian import point_jacobian, point_volumes
 from .simplex import (
     FaceVolumeVector,
     RealizabilityError,
     SimplexSpec,
+    first_realizable,
+    first_realizable_tested,
     realizable_rows,
     spec_to_json,
 )
 
 SQUARED_LENGTH_FLOOR = 1e-9
 STEP_STALL = 1e-15
+MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
 START_BLOCK = 64  # start draws made and tested per batch
@@ -51,6 +57,8 @@ class SolveResult:
     residual_norm: float
     iterations: int
     converged: bool
+    stop_reason: str  # see the module docstring
+    gram_rows: int  # Gram matrices whose eigenvalues the solve computed
     trajectory: list[float] = field(default_factory=list)
 
 
@@ -61,12 +69,12 @@ def _squared(lengths: np.ndarray) -> np.ndarray:
 def solve(problem: InverseProblem) -> SolveResult:
     """Damped Gauss-Newton iteration for target = face volumes of dim n-2.
 
-    Every halving step * 2^-k longer than STEP_STALL is Gram-tested in one
-    stacked call; the first that embeds is the trial point, the one
-    halve-and-retest reaches, as powers of two scale exactly.  One kernel
-    call per trial point gives its face volumes and, if it is accepted, the
-    next Jacobian.  The point is kept as squared lengths; a spec is built
-    only for the solution.
+    The halvings step * 2^-k longer than STEP_STALL are Gram-tested in
+    blocks of 1, 4, 16, ... up to the first that embeds; that one is the
+    trial point, the one halve-and-retest reaches, as powers of two scale
+    exactly.  Every trial point gets its face volumes; only the start and
+    accepted trial points get a Jacobian, from the same CM stack.  The
+    point is kept as squared lengths; a spec is built only for the solution.
     """
     n = problem.n
     dim = comb(n + 1, 2)
@@ -78,39 +86,52 @@ def solve(problem: InverseProblem) -> SolveResult:
     squared = _squared(lengths)
     if not realizable_rows(n, squared):
         raise RealizabilityError("start spec is not realizable")
-    values, jac = volumes_and_jacobian(n, squared)
+    gram_rows = 1
+    values, cm = point_volumes(n, squared)
+    jac = point_jacobian(n, *cm)
     norm = float(np.linalg.norm(values - target))
     trajectory = [norm]
+    identity = np.eye(dim)
     mu = problem.damping
     iterations = 0
 
-    for _ in range(problem.max_iters):
-        if norm <= problem.tol or jac is None:
+    for rounds in range(problem.max_iters + 1):
+        if norm <= problem.tol:
+            stop = "converged"
+            break
+        if jac is None:
+            stop = "degenerate_face"
+            break
+        if rounds == problem.max_iters:
+            stop = "max_iters"
             break
         normal = jac.T @ jac
         if mu <= 0.0:
             mu = 1e-3 * float(np.trace(normal)) / dim
 
-        step = np.linalg.solve(normal + mu * np.eye(dim), jac.T @ (target - values))
+        step = np.linalg.solve(normal + mu * identity, jac.T @ (target - values))
         scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
         trials = _squared(lengths + scales[:, None] * step)
-        hits = np.flatnonzero(realizable_rows(n, trials))
-        if not hits.size:
+        hit = first_realizable(n, trials)
+        gram_rows += first_realizable_tested(hit, len(trials))
+        if hit is None:
+            stop = "step_stall"
             break
 
-        trial = trials[hits[0]]
-        trial_values, trial_jac = volumes_and_jacobian(n, trial)
+        trial = trials[hit]
+        trial_values, trial_cm = point_volumes(n, trial)
         trial_norm = float(np.linalg.norm(trial_values - target))
         if trial_norm <= norm:
             squared, lengths = trial, np.sqrt(trial)
-            values, jac = trial_values, trial_jac
+            values, jac = trial_values, point_jacobian(n, *trial_cm)
             norm = trial_norm
             trajectory.append(norm)
             iterations += 1
             mu = mu / 10.0
         else:
             mu = mu * 10.0
-            if mu > 1e12:
+            if mu > MAX_DAMPING:
+                stop = "damping_overflow"
                 break
 
     return SolveResult(
@@ -119,6 +140,8 @@ def solve(problem: InverseProblem) -> SolveResult:
         iterations=iterations,
         converged=bool(norm <= problem.tol),
         trajectory=trajectory,
+        stop_reason=stop,
+        gram_rows=gram_rows,
     )
 
 

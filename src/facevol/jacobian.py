@@ -95,7 +95,9 @@ def _jacobian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _gradients(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _gradients(
+    faces: np.ndarray, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
     """Volume derivatives of each face with respect to its plain edge lengths.
 
     One row per face, one column per edge inside the face in lexicographic
@@ -104,9 +106,9 @@ def _gradients(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarr
     face's CM matrix C.  The adjugate gives cof_e = det(C) (C^-1)_ab, and
     s_m det(C) = V^2, so dV/dl_e = 2 V l_e (C^-1)_ab: one batched inverse
     replaces a minor per entry.  Raises DegenerateFaceError at the first
-    face with zero volume.
+    face with zero volume, judged against the faces' volume_scales.
     """
-    degenerate = sq <= ZERO_VOLUME_REL_TOL * volume_scales(stack)
+    degenerate = sq <= ZERO_VOLUME_REL_TOL * scales
     if degenerate.any():
         face = tuple((faces[int(np.argmax(degenerate))] + 1).tolist())
         raise DegenerateFaceError(f"face {face} is degenerate", face=face)
@@ -115,10 +117,12 @@ def _gradients(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarr
     return 2.0 * np.sqrt(sq)[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]
 
 
-def _jacobian(n: int, faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _jacobian(
+    n: int, faces: np.ndarray, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
     rows, cols = _jacobian_index(n)
     jac = np.zeros((len(faces), comb(n + 1, 2)))
-    jac[rows, cols] = _gradients(faces, stack, sq)
+    jac[rows, cols] = _gradients(faces, stack, sq, scales)
     return jac
 
 
@@ -133,7 +137,8 @@ def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     if len(face) < 2:
         return {}
     stack = build_cm_matrix(spec, face).astype(float)[None]
-    gradient = _gradients(np.array([face]) - 1, stack, cm_squared_volumes(stack))
+    sq = cm_squared_volumes(stack)
+    gradient = _gradients(np.array([face]) - 1, stack, sq, volume_scales(stack))
     return dict(zip(combinations(face, 2), gradient[0].tolist()))
 
 
@@ -146,25 +151,38 @@ def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     if faces.shape[1] < 2:  # n <= 2: the faces have no edges
         return np.zeros((len(faces), comb(n + 1, 2)))
     stack = cm_stack(spec.distance_matrix, faces)
-    return _jacobian(n, faces, stack, cm_squared_volumes(stack))
+    return _jacobian(n, faces, stack, cm_squared_volumes(stack), volume_scales(stack))
 
 
-def volumes_and_jacobian(n: int, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(n-2)-face volumes and their Jacobian from one CM stack (n >= 2).
+def point_volumes(
+    n: int, squared: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(n-2)-face volumes at one point, and the CM data they came from (n >= 2).
 
     `squared` holds float squared lengths in lex pair order, already known
-    to embed: there is no Gram check.  Raises RealizabilityError at a face
-    with negative squared volume, as all_face_volumes does; the Jacobian is
-    None when a face is degenerate.
+    to embed: there is no Gram check.  Returns the volumes and the faces'
+    (CM stack, squared volumes, volume_scales), which point_jacobian takes.
+    Raises RealizabilityError at a face with negative squared volume, as
+    all_face_volumes does.
     """
     faces = face_vertices(n, n - 2)
     stack = cm_stack(squared_distance_matrix(n, squared), faces)
     sq = cm_squared_volumes(stack)
-    values = face_volumes(faces, stack, sq)
+    scales = volume_scales(stack)
+    return face_volumes(faces, sq, scales), (stack, sq, scales)
+
+
+def point_jacobian(
+    n: int, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
+) -> np.ndarray | None:
+    """Jacobian of the (n-2)-face volumes from the CM data of point_volumes.
+
+    None when a face is degenerate.
+    """
     try:
-        return values, _jacobian(n, faces, stack, sq)
+        return _jacobian(n, face_vertices(n, n - 2), stack, sq, scales)
     except DegenerateFaceError:
-        return values, None
+        return None
 
 
 def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
@@ -252,5 +270,6 @@ def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
     faces = face_vertices(n, face_dim)
     stack, sq = face_stack(spec, faces)
     a, b = _edge_positions(faces.shape[1])
-    weighted = (np.sqrt(stack[:, a, b]) * _gradients(faces, stack, sq)).sum(axis=1)
+    gradients = _gradients(faces, stack, sq, volume_scales(stack))
+    weighted = (np.sqrt(stack[:, a, b]) * gradients).sum(axis=1)
     return float(np.abs(weighted - face_dim * np.sqrt(sq)).max())

@@ -281,6 +281,7 @@ def squared_volume(spec: SimplexSpec, face):
     return squared_volumes(spec, _face_row(spec, face)).item()
 
 
+@cache
 def _cm_prefactor(m: int) -> Fraction:
     """(-1)^(m+1) / (2^m (m!)^2), the factor that turns det C into V^2."""
     return Fraction((-1) ** (m + 1), 2**m * factorial(m) ** 2)
@@ -323,24 +324,28 @@ def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def volume_scales(stack: np.ndarray) -> np.ndarray:
-    """Magnitude of the largest monomial of each face's squared-volume polynomial."""
+    """Magnitude of the largest monomial of each face's squared-volume polynomial.
+
+    Squared volumes are compared with ZERO_VOLUME_REL_TOL times this scale:
+    below minus that they are negative, up to it the face is degenerate.
+    """
     m = stack.shape[-1] - 2
     qmax = np.maximum(stack[:, 1:, 1:].max(axis=(1, 2)), 1.0)
     return qmax**m / (2**m * factorial(m) ** 2)
 
 
-def _negative_faces(stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _negative_faces(sq: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Mask of the faces whose squared volume is negative beyond round-off."""
-    return sq < -ZERO_VOLUME_REL_TOL * volume_scales(stack)
+    return sq < -ZERO_VOLUME_REL_TOL * scales
 
 
-def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Volumes of the faces from their CM stack and squared volumes.
+def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Volumes of the faces from their squared volumes and volume_scales.
 
     Degenerate faces get 0.  Raises RealizabilityError at the first face
     whose squared volume is negative beyond round-off.
     """
-    negative = _negative_faces(stack, sq)
+    negative = _negative_faces(sq, scales)
     if negative.any():
         index = int(np.argmax(negative))
         face = tuple((faces[index] + 1).tolist())
@@ -356,14 +361,20 @@ def _gram(distances: np.ndarray) -> np.ndarray:
     return 0.5 * (base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:])
 
 
+def _gram_and_tolerance(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of squared-distance matrices and the eigenvalue tolerance of each."""
+    g = _gram(distances)
+    trace = g.trace(0, -2, -1)  # offset 0 over the last two axes
+    return g, REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
+
+
 def _gram_test(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest Gram eigenvalue and its tolerance for each squared-distance matrix.
 
     Both results have the batch shape of `distances`; one matrix gives 0-d results.
     """
-    g = _gram(distances)
-    trace = g.trace(0, -2, -1)  # offset 0 over the last two axes
-    return np.linalg.eigvalsh(g)[..., 0], REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
+    g, tol = _gram_and_tolerance(distances)
+    return np.linalg.eigvalsh(g)[..., 0], tol
 
 
 def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
@@ -390,12 +401,46 @@ def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
     return low >= -tol
 
 
+def _first_hit_blocks(count: int):
+    """(start, stop) of the blocks of 1, 4, 16, ... rows first_realizable tests in turn."""
+    start, size = 0, 1
+    while start < count:
+        stop = min(start + size, count)
+        yield start, stop
+        start, size = stop, 4 * size
+
+
+def first_realizable(n: int, rows: np.ndarray) -> int | None:
+    """Index of the first row of squared lengths that embeds, or None if none does.
+
+    `rows` has shape (count, binomial(n+1, 2)).  The Gram matrices and
+    tolerances of all rows are built at once, but eigenvalues are computed
+    on blocks of 1, 4, 16, ... rows, up to the first block with a hit.
+    eigvalsh treats each matrix of a stack on its own, so the answer is
+    the first index of realizable_rows(n, rows).
+    """
+    g, tol = _gram_and_tolerance(squared_distance_matrix(n, rows))
+    for start, stop in _first_hit_blocks(len(rows)):
+        hits = np.flatnonzero(np.linalg.eigvalsh(g[start:stop])[:, 0] >= -tol[start:stop])
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
+def first_realizable_tested(hit: int | None, count: int) -> int:
+    """Rows first_realizable computes Gram eigenvalues for, on `count` rows, to return `hit`."""
+    if hit is None:
+        return count
+    return next(stop for _, stop in _first_hit_blocks(count) if stop > hit)
+
+
 def _first_negative_face(spec: SimplexSpec):
     """Smallest (then lexicographically first) face with negative squared volume."""
     n = spec.n
     for face_dim in range(2, n + 1):
         faces = face_vertices(n, face_dim)
-        negative = _negative_faces(*face_stack(spec, faces))
+        stack, sq = face_stack(spec, faces)
+        negative = _negative_faces(sq, volume_scales(stack))
         if negative.any():
             return min(tuple(face) for face in (faces[negative] + 1).tolist())
     return tuple(range(1, n + 2))
@@ -415,7 +460,8 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
             "spec is not realizable", face=_first_negative_face(spec)
         )
     faces = face_vertices(n, face_dim)
-    values = face_volumes(faces, *face_stack(spec, faces))
+    stack, sq = face_stack(spec, faces)
+    values = face_volumes(faces, sq, volume_scales(stack))
     return FaceVolumeVector(
         n=n, face_dim=face_dim, values=dict(zip(k_subsets(n, n - face_dim), values.tolist()))
     )

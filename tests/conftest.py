@@ -1,6 +1,7 @@
 from math import factorial
 
 import numpy as np
+import pytest
 
 from facevol import SimplexSpec
 
@@ -21,3 +22,17 @@ def coordinate_volume_sq(points: np.ndarray, face) -> float:
     gram = edges @ edges.T
     return float(np.linalg.det(gram)) / factorial(m) ** 2
 
+
+
+@pytest.fixture
+def eigvalsh_rows(monkeypatch):
+    """Number of matrices in each np.linalg.eigvalsh call, in call order."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen

@@ -291,6 +291,17 @@ def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
         assert f"argument --tol: must be a positive finite number, got '{tol}'" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_invert_seed_must_be_non_negative_integer(capsys, tmp_path, seed):
+    spec = write_spec(tmp_path, "reg4.json", {"n": 4, "squared_lengths": [1] * 10})
+    code, out, err = run(capsys, "invert", "--input", spec, "--starts", "1", "--seed", seed)
+    assert code == 2 and out == ""
+    if seed == "-1":
+        assert "argument --seed: must be a non-negative integer, got '-1'" in err
+    else:
+        assert f"argument --seed: invalid seed value: '{seed}'" in err
+
+
 def test_spectrum_over_order_limit_is_usage_error(capsys):
     # K(21,5) has order 20349, above the 5000-vertex limit
     code, out, err = run(capsys, "spectrum", "--n", "20", "--k", "5")

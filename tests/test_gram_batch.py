@@ -1,13 +1,15 @@
-"""Property tests: the stacked Gram test agrees with the one-spec test row by row."""
+"""Property tests: the stacked Gram test agrees with the one-spec test row by row,
+and the blocked first-hit search agrees with the stacked test."""
 
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
-from facevol.simplex import realizable_rows
+from facevol.simplex import first_realizable, first_realizable_tested, realizable_rows
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
 
@@ -79,3 +81,44 @@ def test_stacked_gram_test_keeps_batch_shape(n, rows, seed):
         [is_realizable(SimplexSpec.from_vector(n, row.tolist())).realizable for row in block]
         for block in squared
     ]
+
+
+def first_stacked_hit(n, rows):
+    hits = np.flatnonzero(realizable_rows(n, rows))
+    return int(hits[0]) if hits.size else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_first_realizable_matches_stacked_test(case):
+    n, rows, _ = case
+    verdicts = realizable_rows(n, rows)
+    # every suffix moves the first hit; the rows that fail have none
+    for start in range(len(rows)):
+        assert first_realizable(n, rows[start:]) == first_stacked_hit(n, rows[start:])
+    assert first_realizable(n, rows[~verdicts]) is None
+
+
+EMBEDS = np.ones(6)  # the regular tetrahedron
+FAILS = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 100.0])  # one edge longer than its triangle allows
+
+
+@pytest.mark.parametrize("hit, count, tested", [
+    (0, 50, 1),    # first block
+    (1, 50, 5),    # just past the first block edge
+    (4, 50, 5),
+    (5, 50, 21),   # just past the second
+    (20, 50, 21),
+    (21, 50, 50),  # just past the third; the last block is cut at the end
+    (49, 50, 50),  # only the last row embeds
+    (None, 50, 50),
+    (None, 1, 1),
+    (None, 0, 0),
+])
+def test_first_realizable_blocks(eigvalsh_rows, hit, count, tested):
+    rows = np.tile(FAILS, (count, 1))
+    if hit is not None:
+        rows[hit:] = EMBEDS
+    assert first_realizable(3, rows) == hit == first_stacked_hit(3, rows)
+    assert first_realizable_tested(hit, count) == tested
+    assert sum(eigvalsh_rows[:-1]) == tested  # the last call is first_stacked_hit's

@@ -23,6 +23,7 @@ from facevol import (
     regular_simplex,
     solve,
 )
+from facevol import inverse
 from conftest import perturbed_regular
 
 
@@ -70,6 +71,7 @@ def test_zero_target_does_not_converge():
         InverseProblem(n=4, target=target, start=regular_simplex(4), max_iters=50)
     )
     assert not result.converged
+    assert result.stop_reason == "degenerate_face"
 
 
 def test_start_must_be_realizable():
@@ -280,5 +282,64 @@ def test_solve_matches_halve_and_retest_reference():
                 assert result.iterations == iterations
                 assert result.converged == (trajectory[-1] <= problem.tol)
                 assert np.array_equal(result.solution.vector(), spec.vector())
+                assert result.stop_reason == reference_stop_reason(stop, result.converged)
                 stops.append(stop)
     assert stops.count("stall") >= 5 and stops.count("done") >= 20
+
+
+def reference_stop_reason(stop, converged):
+    """reference_solve's stop as a SolveResult.stop_reason.
+
+    A solve that converges on its last allowed round stops as converged.
+    """
+    if converged:
+        return "converged"
+    return {"done": "degenerate_face", "stall": "step_stall",
+            "damping": "damping_overflow", "max_iters": "max_iters"}[stop]
+
+
+def test_stop_reason_at_iteration_limit():
+    # from this start the solve converges in 6 rounds, none rejected
+    pair = build_pair(4, Fraction(1, 2))
+    target = all_face_volumes(pair.minus.spec, 2)
+    start = random_realizable_spec(4, np.random.default_rng(0))
+    for max_iters, reason in ((0, "max_iters"), (5, "max_iters"), (6, "converged")):
+        result = solve(InverseProblem(n=4, target=target, start=start, max_iters=max_iters))
+        assert result.stop_reason == reason
+        assert result.iterations == max_iters
+        assert result.converged == (reason == "converged")
+
+
+def test_gram_rows_pinned_for_mirror_target(eigvalsh_rows):
+    # a mirror-target solve that stalls: its backtracking reaches blocks past the first
+    pair = build_pair(4, Fraction(1, 2))
+    target = all_face_volumes(pair.minus.spec, 2)
+    start = random_realizable_spec(4, np.random.default_rng(1))
+    eigvalsh_rows.clear()  # the start draw's tests
+    result = solve(InverseProblem(n=4, target=target, start=start))
+    assert (result.stop_reason, result.iterations) == ("step_stall", 30)
+    assert result.gram_rows == sum(eigvalsh_rows) == 1184
+    assert max(eigvalsh_rows) > 21  # blocks past the third were tested
+
+
+def test_rejected_trials_compute_no_inverse(monkeypatch):
+    calls = {"inv": 0, "volumes": 0}
+    inv, point_volumes = np.linalg.inv, inverse.point_volumes
+
+    def counting_inv(a):
+        calls["inv"] += 1
+        return inv(a)
+
+    def counting_volumes(*args):
+        calls["volumes"] += 1
+        return point_volumes(*args)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(inverse, "point_volumes", counting_volumes)
+    x = float(family_constants(5).x_max) / 2
+    target = all_face_volumes(build_pair(5, x).minus.spec, 3)
+    start = random_realizable_spec(5, np.random.default_rng(1))
+    result = solve(InverseProblem(n=5, target=target, start=start))
+    assert result.converged
+    assert calls["volumes"] - 1 - result.iterations == 6  # rejected trials
+    assert calls["inv"] == 1 + result.iterations  # the start and each accepted trial

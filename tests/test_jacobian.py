@@ -7,6 +7,7 @@ import pytest
 from facevol import (
     BoundaryError,
     DegenerateFaceError,
+    SimplexSpec,
     all_face_volumes,
     analytic_jacobian,
     build_cm_matrix,
@@ -16,6 +17,7 @@ from facevol import (
     face_complement,
     family_constants,
     fd_jacobian,
+    is_realizable,
     jacobian_rank,
     k_subsets,
     lex_pairs,
@@ -24,6 +26,7 @@ from facevol import (
     verify_regular_point,
     vertices_to_spec,
 )
+from facevol.jacobian import point_jacobian, point_volumes
 from conftest import perturbed_regular
 
 
@@ -206,3 +209,33 @@ def test_analytic_jacobian_matches_minor_reference(n):
     reference = minor_jacobian(spec)
     assert np.abs(analytic_jacobian(spec) - reference).max() <= 1e-12 * np.abs(reference).max()
     assert np.array_equal(analytic_jacobian(spec) != 0, reference != 0)
+
+
+def spec_volumes_and_jacobian(n, squared):
+    """Face volumes and Jacobian (None at a degenerate face) through a spec."""
+    spec = SimplexSpec.from_vector(n, squared.tolist())
+    values = all_face_volumes(spec, n - 2).vector()
+    try:
+        return values, analytic_jacobian(spec)
+    except DegenerateFaceError:
+        return values, None
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_point_kernel_matches_spec_path_bit_for_bit(n):
+    rng = np.random.default_rng(400 + n)
+    specs = [perturbed_regular(n, rng, spread) for spread in (0.1, 0.3, 0.5) for _ in range(3)]
+    points = [spec.vector() for spec in specs if is_realizable(spec)]
+    assert len(points) >= 5
+    pts = rng.normal(size=(n + 1, n))
+    pts[n] = pts[1]  # vertices 2 and n+1 coincide: every face holding both is degenerate
+    points.append(vertices_to_spec(pts).vector())
+    for squared in points:
+        values, cm = point_volumes(n, squared)
+        jac = point_jacobian(n, *cm)
+        ref_values, ref_jac = spec_volumes_and_jacobian(n, squared)
+        assert np.array_equal(values, ref_values)
+        assert (jac is None) == (ref_jac is None)
+        if jac is not None:
+            assert np.array_equal(jac, ref_jac)
+    assert jac is None  # the degenerate point
