@@ -1,9 +1,12 @@
 """Command-line front end: every verification and construction as a command.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Reports are
-JSON (schema_version "1") or CSV with fixed headers; output is written
-only after the computation finishes, so failures never leave partial
-files.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  argparse
+checks every flag; commands return bare reports, and `main` alone adds
+schema_version "1", renders JSON or CSV with fixed headers and writes the
+text once the computation has finished, so failures never leave partial
+files.  Rendering and writing share the usage-error path: a numpy
+floating-point fault, a NaN or infinity in a report and an unwritable
+--output each exit 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import os
 import sys
 from functools import cache
 from math import inf, sqrt
+
+import numpy as np
 
 from . import family, inverse, jacobian, kneser, simplex
 
@@ -49,8 +54,19 @@ def seed(text: str) -> int:
     return value
 
 
-def _report_json(report) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def count(text: str) -> int:
+    """argparse type of --starts and --count: a positive integer."""
+    value = int(text)  # argparse reports a ValueError as "invalid count value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _report_json(report: dict) -> str:
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # allow_nan=False: strict JSON has no NaN or Infinity
+        raise ArithmeticError("report holds a non-finite float (NaN or infinity)") from None
 
 
 def _rows_csv(rows: list[dict], columns: list[str]) -> str:
@@ -87,7 +103,6 @@ def _cmd_volume(args) -> tuple[int, dict]:
     face = _parse_face(args.face, spec.n) if args.face else tuple(range(1, spec.n + 2))
     sq = float(simplex.squared_volume(spec, face))
     report = {
-        "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "face": list(face),
         "squared_volume": sq,
@@ -98,11 +113,8 @@ def _cmd_volume(args) -> tuple[int, dict]:
 
 def _cmd_faces(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
-    if args.face_dim is None:
-        raise ValueError("faces requires --face-dim")
     fvv = simplex.all_face_volumes(spec, args.face_dim)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "face_dim": fvv.face_dim,
         "keys": [list(k) for k in fvv.keys()],
@@ -115,7 +127,6 @@ def _cmd_realizable(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
     cert = simplex.is_realizable(spec)
     report = {
-        "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "realizable": cert.realizable,
         "min_eigenvalue": cert.min_eigenvalue,
@@ -125,14 +136,11 @@ def _cmd_realizable(args) -> tuple[int, dict]:
 
 
 def _cmd_jacobian(args) -> tuple[int, dict]:
-    if args.input is None and args.n is None:
-        raise ValueError("jacobian requires --n (regular point) or --input (spec file)")
     if args.input is not None:
         spec = simplex.load_spec(args.input)
         rank, ratio = jacobian.jacobian_rank(spec)
         full = len(spec.squared_lengths)
         report = {
-            "schema_version": SCHEMA_VERSION,
             "n": spec.n,
             "max_abs_deviation": None,
             "rank": rank,
@@ -140,29 +148,20 @@ def _cmd_jacobian(args) -> tuple[int, dict]:
             "full_rank": bool(rank == full),
         }
         return (0 if rank == full else 1), report
-    tol = args.tol if args.tol is not None else 1e-9
-    result = jacobian.verify_regular_point(args.n, tol)
-    report = {"schema_version": SCHEMA_VERSION, **result}
-    return (0 if result["passed"] else 1), report
+    report = jacobian.verify_regular_point(args.n, args.tol)
+    return (0 if report["passed"] else 1), report
 
 
 def _cmd_spectrum(args) -> tuple[int, dict]:
-    if args.n is None or args.k is None:
-        raise ValueError("spectrum requires --n and --k")
-    result = kneser.spectrum_report(args.n, args.k)
-    report = {"schema_version": SCHEMA_VERSION, **result}
-    return (0 if result["annihilation"] else 1), report
+    report = kneser.spectrum_report(args.n, args.k)
+    return (0 if report["annihilation"] else 1), report
 
 
 def _cmd_counterexample(args) -> tuple[int, dict]:
-    if args.n is None:
-        raise ValueError("counterexample requires --n")
-    tol = args.tol if args.tol is not None else 1e-10
     if args.t is not None:
         instance = family.build_instance(args.n, args.t)
         regular, special = family.two_value_check(instance)
         report = {
-            "schema_version": SCHEMA_VERSION,
             "n": args.n,
             "t": args.t,
             "value_regular": regular,
@@ -170,11 +169,8 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
             "realizable": bool(simplex.is_realizable(instance.spec)),
         }
         return 0, report
-    if args.x is None:
-        raise ValueError("counterexample requires --x (or --t for a single instance)")
-    pair = family.build_pair(args.n, args.x, tol)
-    report = {"schema_version": SCHEMA_VERSION, **pair.report}
-    return (0 if pair.report["passed"] else 1), report
+    report = family.build_pair(args.n, args.x, args.tol).report
+    return (0 if report["passed"] else 1), report
 
 
 def _cmd_invert(args) -> tuple[int, dict]:
@@ -182,12 +178,10 @@ def _cmd_invert(args) -> tuple[int, dict]:
     if spec.n < 3:  # at n=2 the target is the vertex volumes, 1 for every start
         raise ValueError(f"dimension must be >= 3 to invert, got n={spec.n}")
     target = simplex.all_face_volumes(spec, spec.n - 2)
-    tol = args.tol if args.tol is not None else 1e-10
     clusters = inverse.basin_probe(
-        spec.n, target, num_starts=args.starts, seed=args.seed, tol=tol
+        spec.n, target, num_starts=args.starts, seed=args.seed, tol=args.tol
     )
     report = {
-        "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "starts": args.starts,
         "seed": args.seed,
@@ -196,11 +190,8 @@ def _cmd_invert(args) -> tuple[int, dict]:
     return (0 if clusters else 1), report
 
 
-def _cmd_sweep(args) -> tuple[int, list[dict]]:
-    if args.n is None:
-        raise ValueError("sweep requires --n")
-    tol = args.tol if args.tol is not None else 1e-10
-    return 0, family.sweep_rows(args.n, count=args.count, tol=tol)
+def _cmd_sweep(args) -> tuple[int, dict]:
+    return 0, {"rows": family.sweep_rows(args.n, count=args.count, tol=args.tol)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **flags):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv"), default=flags.pop("format", "json"))
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output file (default stdout)")
         return p
 
@@ -223,36 +214,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("faces", "all face volumes of one dimension")
     p.add_argument("--input", required=True)
-    p.add_argument("--face-dim", type=int, default=None)
+    p.add_argument("--face-dim", type=int, required=True)
 
     p = add("realizable", "Euclidean realizability certificate")
     p.add_argument("--input", required=True)
 
     p = add("jacobian", "regular-point identity check or rank certificate")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--tol", type=tolerance, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=int, help="regular point of dimension N")
+    mode.add_argument("--input", help="spec file for a rank certificate")
+    p.add_argument("--tol", type=tolerance, default=1e-9)
 
     p = add("spectrum", "exact Kneser spectrum certificate")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
 
     p = add("counterexample", "build and verify a mirror pair (or one instance)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--tol", type=tolerance, default=None)
+    p.add_argument("--n", type=int, required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--x", type=float, help="mirror offset of a pair")
+    mode.add_argument("--t", type=float, help="parameter of a single instance")
+    p.add_argument("--tol", type=tolerance, default=1e-10)
 
     p = add("invert", "multi-start inversion of the face-volume map")
     p.add_argument("--input", required=True)
-    p.add_argument("--starts", type=int, default=20)
+    p.add_argument("--starts", type=count, default=20)
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--tol", type=tolerance, default=None)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
 
-    p = add("sweep", "mirror-pair reports on a grid of offsets", format="csv")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--count", type=int, default=9)
-    p.add_argument("--tol", type=tolerance, default=None)
+    p = add("sweep", "mirror-pair reports on a grid of offsets")
+    p.set_defaults(format="csv")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--count", type=count, default=9)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
 
     return parser
 
@@ -278,22 +272,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        code, report = _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+        with np.errstate(all="raise", under="ignore"):
+            code, report = _COMMANDS[args.command](args)
+        report = {"schema_version": SCHEMA_VERSION, **report}
+        text = _report_json(report)  # also the finiteness check of a CSV report
+        if args.format == "csv":
+            if args.command == "sweep":
+                text = _rows_csv(report["rows"], family.SWEEP_COLUMNS)
+            else:
+                text = _report_csv(report)
+        _emit(text, args.output)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"facevol {args.command}: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "sweep":
-        if args.format == "csv":
-            text = _rows_csv(report, family.SWEEP_COLUMNS)
-        else:
-            text = _report_json({"schema_version": SCHEMA_VERSION, "rows": report})
-    elif args.format == "csv":
-        text = _report_csv(report)
-    else:
-        text = _report_json(report)
-
-    _emit(text, args.output)
     return code
 
 

@@ -23,7 +23,6 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     first_realizable,
-    first_realizable_tested,
     realizable_rows,
     spec_to_json,
 )
@@ -112,8 +111,8 @@ def solve(problem: InverseProblem) -> SolveResult:
         step = np.linalg.solve(normal + mu * identity, jac.T @ (target - values))
         scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
         trials = _squared(lengths + scales[:, None] * step)
-        hit = first_realizable(n, trials)
-        gram_rows += first_realizable_tested(hit, len(trials))
+        hit, tested = first_realizable(n, trials)
+        gram_rows += tested
         if hit is None:
             stop = "step_stall"
             break

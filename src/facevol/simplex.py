@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import comb, factorial, isfinite, lcm
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def face_vertices(n: int, face_dim: int) -> np.ndarray:
 
 
 def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return isinstance(value, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ class SimplexSpec:
     """An n-simplex described by squared edge lengths.
 
     squared_lengths maps each pair (i,j), 1 <= i < j <= n+1, to a
-    nonnegative number.  Values may be floats or exact ints/Fractions;
-    realizability is a separate check, not an invariant.
+    finite nonnegative real number, not a bool.  Values may be floats or
+    exact ints/Fractions; realizability is a separate check, not an
+    invariant.
     """
 
     n: int
@@ -117,6 +118,8 @@ class SimplexSpec:
                 f"need exactly the {count} pairs (i,j), 1 <= i < j <= {self.n + 1}"
             )
         for pair, value in self.squared_lengths.items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"squared length for {pair} must be a real number, got {value!r}")
             if not _is_exact(value) and not isfinite(value):
                 raise ValueError(f"squared length for {pair} is not finite: {value}")
             if value < 0:
@@ -401,37 +404,25 @@ def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
     return low >= -tol
 
 
-def _first_hit_blocks(count: int):
-    """(start, stop) of the blocks of 1, 4, 16, ... rows first_realizable tests in turn."""
-    start, size = 0, 1
-    while start < count:
-        stop = min(start + size, count)
-        yield start, stop
-        start, size = stop, 4 * size
-
-
-def first_realizable(n: int, rows: np.ndarray) -> int | None:
-    """Index of the first row of squared lengths that embeds, or None if none does.
+def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
+    """First row of squared lengths that embeds (None if none does), and the rows tested.
 
     `rows` has shape (count, binomial(n+1, 2)).  The Gram matrices and
     tolerances of all rows are built at once, but eigenvalues are computed
-    on blocks of 1, 4, 16, ... rows, up to the first block with a hit.
-    eigvalsh treats each matrix of a stack on its own, so the answer is
-    the first index of realizable_rows(n, rows).
+    on blocks of 1, 4, 16, ... rows, up to the first block with a hit; the
+    second item counts the rows of those blocks.  eigvalsh treats each
+    matrix of a stack on its own, so the index is the first index of
+    realizable_rows(n, rows).
     """
     g, tol = _gram_and_tolerance(squared_distance_matrix(n, rows))
-    for start, stop in _first_hit_blocks(len(rows)):
+    start, size = 0, 1
+    while start < len(rows):
+        stop = min(start + size, len(rows))
         hits = np.flatnonzero(np.linalg.eigvalsh(g[start:stop])[:, 0] >= -tol[start:stop])
         if hits.size:
-            return start + int(hits[0])
-    return None
-
-
-def first_realizable_tested(hit: int | None, count: int) -> int:
-    """Rows first_realizable computes Gram eigenvalues for, on `count` rows, to return `hit`."""
-    if hit is None:
-        return count
-    return next(stop for _, stop in _first_hit_blocks(count) if stop > hit)
+            return start + int(hits[0]), stop
+        start, size = stop, 4 * size
+    return None, len(rows)
 
 
 def _first_negative_face(spec: SimplexSpec):
@@ -470,8 +461,6 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
 # --- JSON interchange -------------------------------------------------------
 
 def _value_to_json(value):
-    if isinstance(value, bool):
-        raise TypeError("squared lengths cannot be booleans")
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -480,16 +469,13 @@ def _value_to_json(value):
 
 
 def _value_from_json(raw):
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad squared length: {raw!r}") from None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"bad squared length: {raw!r}")
-    if isinstance(raw, float) and not np.isfinite(raw):
-        raise ValueError(f"bad squared length: {raw!r}")
-    return raw
+    """A "p/q" string as an exact Fraction; SimplexSpec checks every other value."""
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad squared length: {raw!r}") from None
 
 
 def spec_to_json(spec: SimplexSpec) -> dict:

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from facevol import SpectrumSpec, jacobian, kneser
-from facevol.cli import main
+from facevol import SpectrumSpec, jacobian, kneser, simplex
+from facevol.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -141,6 +141,31 @@ def test_spectrum_missing_k(capsys):
     assert "spectrum" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--n", "4"], "--k"),
+    (["spectrum", "--k", "2"], "--n"),
+    (["counterexample", "--x", "0.5"], "--n"),
+    (["sweep"], "--n"),
+    (["faces", "--input", "spec.json"], "--face-dim"),
+])
+def test_missing_required_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: the following arguments are required: {flag}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["jacobian"], "one of the arguments --n --input is required"),
+    (["jacobian", "--n", "4", "--input", "spec.json"], "argument --input: not allowed with argument --n"),
+    (["counterexample", "--n", "4"], "one of the arguments --x --t is required"),
+    (["counterexample", "--n", "4", "--x", "0.5", "--t", "2"], "argument --t: not allowed with argument --x"),
+])
+def test_mode_flags_are_exclusive(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_jacobian_regular_point(capsys):
     code, out, _ = run(capsys, "jacobian", "--n", "4")
     assert code == 0
@@ -244,6 +269,28 @@ def test_usage_error_leaves_no_output_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, "spectrum", "--n", "4", "--k", "2", "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("facevol spectrum: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_is_usage_error(capsys, tmp_path, monkeypatch, fmt):
+    # the float Cayley-Menger determinant overflows to -inf
+    path = write_spec(tmp_path, "huge.json", {"n": 2, "squared_lengths": [1, 1, 1e308]})
+    code, out, err = run(capsys, "volume", "--input", path, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "facevol volume: overflow encountered in det\n"
+    # a non-finite float that no numpy operation flagged is caught in the report
+    monkeypatch.setattr(simplex, "squared_volume", lambda spec, face: float("inf"))
+    code, out, err = run(capsys, "volume", "--input", path, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "facevol volume: report holds a non-finite float (NaN or infinity)\n"
+
+
 def test_boolean_dimension_is_usage_error(capsys, tmp_path):
     path = write_spec(tmp_path, "bool.json", {"n": True, "squared_lengths": [1]})
     out_path = tmp_path / "never.json"
@@ -289,6 +336,28 @@ def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
         code, out, err = run(capsys, *argv, "--tol", tol)
         assert code == 2 and out == ""
         assert f"argument --tol: must be a positive finite number, got '{tol}'" in err
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["jacobian", "--n", "4"], 1e-9),
+    (["counterexample", "--n", "4", "--x", "0.5"], 1e-10),
+    (["invert", "--input", "spec.json"], 1e-10),
+    (["sweep", "--n", "4"], 1e-10),
+])
+def test_tolerance_defaults(argv, tol):
+    assert build_parser().parse_args(argv).tol == tol
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+def test_starts_and_count_must_be_positive_integers(capsys, tmp_path, value):
+    spec = write_spec(tmp_path, "reg4.json", {"n": 4, "squared_lengths": [1] * 10})
+    for argv, flag in ((["invert", "--input", spec], "--starts"), (["sweep", "--n", "4"], "--count")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        if value == "1.5":
+            assert f"argument {flag}: invalid count value: '1.5'" in err
+        else:
+            assert f"argument {flag}: must be a positive integer, got '{value}'" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
-from facevol.simplex import first_realizable, first_realizable_tested, realizable_rows
+from facevol.simplex import first_realizable, realizable_rows
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
 
@@ -95,8 +95,8 @@ def test_first_realizable_matches_stacked_test(case):
     verdicts = realizable_rows(n, rows)
     # every suffix moves the first hit; the rows that fail have none
     for start in range(len(rows)):
-        assert first_realizable(n, rows[start:]) == first_stacked_hit(n, rows[start:])
-    assert first_realizable(n, rows[~verdicts]) is None
+        assert first_realizable(n, rows[start:])[0] == first_stacked_hit(n, rows[start:])
+    assert first_realizable(n, rows[~verdicts]) == (None, int((~verdicts).sum()))
 
 
 EMBEDS = np.ones(6)  # the regular tetrahedron
@@ -119,6 +119,6 @@ def test_first_realizable_blocks(eigvalsh_rows, hit, count, tested):
     rows = np.tile(FAILS, (count, 1))
     if hit is not None:
         rows[hit:] = EMBEDS
-    assert first_realizable(3, rows) == hit == first_stacked_hit(3, rows)
-    assert first_realizable_tested(hit, count) == tested
+    assert first_realizable(3, rows) == (hit, tested)
+    assert hit == first_stacked_hit(3, rows)
     assert sum(eigvalsh_rows[:-1]) == tested  # the last call is first_stacked_hit's

@@ -182,6 +182,9 @@ def test_spec_validation():
     for bad in (float("inf"), float("nan"), np.float64("-inf")):
         with pytest.raises(ValueError):
             SimplexSpec.from_vector(2, [1.0, bad, 1.0])
+    for bad in (True, np.True_, None, "1", 1j):
+        with pytest.raises(ValueError, match=r"squared length for \(1, 3\) must be a real number"):
+            SimplexSpec.from_vector(2, [1, bad, 1])
     with pytest.raises(ValueError):
         all_face_volumes(regular_simplex(3), 4)
 
