@@ -137,6 +137,8 @@ def _cmd_realizable(args) -> tuple[int, dict]:
 
 def _cmd_jacobian(args) -> tuple[int, dict]:
     if args.input is not None:
+        if args.tol is not None:  # the rank mode has no tolerance to set
+            raise ValueError("argument --tol: not allowed with argument --input")
         spec = simplex.load_spec(args.input)
         rank, ratio = jacobian.jacobian_rank(spec)
         full = len(spec.squared_lengths)
@@ -148,7 +150,7 @@ def _cmd_jacobian(args) -> tuple[int, dict]:
             "full_rank": bool(rank == full),
         }
         return (0 if rank == full else 1), report
-    report = jacobian.verify_regular_point(args.n, args.tol)
+    report = jacobian.verify_regular_point(args.n, 1e-9 if args.tol is None else args.tol)
     return (0 if report["passed"] else 1), report
 
 
@@ -160,7 +162,7 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
 def _cmd_counterexample(args) -> tuple[int, dict]:
     if args.t is not None:
         instance = family.build_instance(args.n, args.t)
-        regular, special = family.two_value_check(instance)
+        regular, special = family.two_value_check(instance, args.tol)
         report = {
             "n": args.n,
             "t": args.t,
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", type=int, help="regular point of dimension N")
     mode.add_argument("--input", help="spec file for a rank certificate")
-    p.add_argument("--tol", type=tolerance, default=1e-9)
+    p.add_argument("--tol", type=tolerance, help="--n mode only (default 1e-9)")
 
     p = add("spectrum", "exact Kneser spectrum certificate")
     p.add_argument("--n", type=int, required=True)

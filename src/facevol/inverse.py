@@ -1,11 +1,12 @@
 """Recover edge lengths from codimension-2 face volumes.
 
 Damped Gauss-Newton on the plain edge lengths: each step solves the
-regularized normal equations, is cut to its longest halving that stays in
-the realizable region, and is accepted only when the residual does not
-increase.  A solve reports why it stopped: converged, degenerate_face (the
-Jacobian is undefined), step_stall (no halving above STEP_STALL embeds),
-damping_overflow (the damping passed MAX_DAMPING) or max_iters.
+regularized normal equations, is cut to its longest halving step * 2^-k,
+k <= MAX_HALVINGS, that stays in the realizable region, and is accepted
+only when the residual does not increase.  A solve reports why it stopped:
+converged, degenerate_face (the Jacobian is undefined), step_stall (none
+of those halvings above STEP_STALL embeds), damping_overflow (the damping
+passed MAX_DAMPING) or max_iters.
 Multi-start probing exposes targets with several preimages, e.g. both
 members of a mirror pair.
 """
@@ -33,7 +34,8 @@ MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
 START_BLOCK = 64  # start draws made and tested per batch
-HALVINGS = np.ldexp(1.0, -np.arange(1075))  # 2^-k down to the least subnormal
+MAX_HALVINGS = 20  # 1 + 4 + 16 candidates: at most three Gram eigenvalue blocks
+HALVINGS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 
 
 class StartDrawError(ValueError):
@@ -68,12 +70,15 @@ def _squared(lengths: np.ndarray) -> np.ndarray:
 def solve(problem: InverseProblem) -> SolveResult:
     """Damped Gauss-Newton iteration for target = face volumes of dim n-2.
 
-    The halvings step * 2^-k longer than STEP_STALL are Gram-tested in
-    blocks of 1, 4, 16, ... up to the first that embeds; that one is the
-    trial point, the one halve-and-retest reaches, as powers of two scale
-    exactly.  Every trial point gets its face volumes; only the start and
-    accepted trial points get a Jacobian, from the same CM stack.  The
-    point is kept as squared lengths; a spec is built only for the solution.
+    The halvings step * 2^-k, k = 0..MAX_HALVINGS, longer than STEP_STALL
+    are Gram-tested in blocks of 1, 4, 16 up to the first that embeds; that
+    one is the trial point, the one halve-and-retest reaches, as powers of
+    two scale exactly.  If none embeds the solve stops with step_stall: a
+    start that reaches the edge of the realizable region would otherwise
+    accept ever-deeper halvings at a flat residual.  Every trial point gets
+    its face volumes; only the start and accepted trial points get a
+    Jacobian, from the same CM stack.  The point is kept as squared
+    lengths; a spec is built only for the solution.
     """
     n = problem.n
     dim = comb(n + 1, 2)

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from facevol import SpectrumSpec, jacobian, kneser, simplex
+from facevol import SpectrumSpec, family, jacobian, kneser, simplex
 from facevol.cli import build_parser, main
 
 
@@ -182,6 +182,21 @@ def test_jacobian_rank_mode(capsys, tmp_path):
     assert json.loads(out)["rank"] == 15
 
 
+def test_jacobian_tol_sets_regular_point_tolerance(capsys):
+    _, out, _ = run(capsys, "jacobian", "--n", "4")
+    assert json.loads(out)["tol"] == 1e-9
+    _, out, _ = run(capsys, "jacobian", "--n", "4", "--tol", "1e-3")
+    assert json.loads(out)["tol"] == 1e-3
+
+
+def test_jacobian_tol_with_input_is_usage_error(capsys, tmp_path):
+    # the rank mode has no tolerance: the flag is refused, not dropped
+    path = write_spec(tmp_path, "reg4.json", {"n": 4, "squared_lengths": [1] * 10})
+    code, out, err = run(capsys, "jacobian", "--input", path, "--tol", "1e-3")
+    assert code == 2 and out == ""
+    assert err == "facevol jacobian: argument --tol: not allowed with argument --input\n"
+
+
 def test_jacobian_requires_mode(capsys):
     code, _, err = run(capsys, "jacobian")
     assert code == 2 and "jacobian" in err
@@ -202,6 +217,21 @@ def test_counterexample_instance_mode(capsys):
     report = json.loads(out)
     assert report["value_regular"] == pytest.approx(3**0.5 / 4)
     assert report["value_special"] == pytest.approx(0.5)
+
+
+def test_counterexample_instance_mode_passes_tol(capsys, monkeypatch):
+    seen = []
+    two_value_check = family.two_value_check
+
+    def recorded(instance, tol):
+        seen.append(tol)
+        return two_value_check(instance, tol)
+
+    monkeypatch.setattr(family, "two_value_check", recorded)
+    _, default_out, _ = run(capsys, "counterexample", "--n", "4", "--t", "2.0")
+    code, out, _ = run(capsys, "counterexample", "--n", "4", "--t", "2.0", "--tol", "0.5")
+    assert code == 0 and out == default_out
+    assert seen == [1e-10, 0.5]
 
 
 def test_counterexample_domain_error(capsys):
@@ -339,7 +369,7 @@ def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
 
 
 @pytest.mark.parametrize("argv, tol", [
-    (["jacobian", "--n", "4"], 1e-9),
+    (["jacobian", "--n", "4"], None),  # --n mode supplies 1e-9, --input takes none
     (["counterexample", "--n", "4", "--x", "0.5"], 1e-10),
     (["invert", "--input", "spec.json"], 1e-10),
     (["sweep", "--n", "4"], 1e-10),

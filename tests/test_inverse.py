@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -209,10 +209,11 @@ def test_basin_probe_mirror_target_pinned_counts():
     assert specials == pytest.approx([2.5, 1.5], abs=1e-8)
 
 
-def reference_solve(problem):
+def reference_solve(problem, max_halvings=None):
     """Halve-and-retest Gauss-Newton with one spec per trial point.
 
-    Returns (solution spec, trajectory, iterations, stop reason).
+    A step is halved at most max_halvings times (None: down to the 1e-15
+    stall).  Returns (solution spec, trajectory, iterations, stop reason).
     """
     n = problem.n
     dim = comb(n + 1, 2)
@@ -230,6 +231,7 @@ def reference_solve(problem):
     values, jac = evaluate(spec)
     norm = float(np.linalg.norm(values - target))
     trajectory, mu, iterations, stop = [norm], problem.damping, 0, "max_iters"
+    bound = inf if max_halvings is None else max_halvings
     for _ in range(problem.max_iters):
         if norm <= problem.tol or jac is None:
             stop = "done"
@@ -238,12 +240,16 @@ def reference_solve(problem):
         if mu <= 0.0:
             mu = 1e-3 * float(np.trace(normal)) / dim
         step = np.linalg.solve(normal + mu * np.eye(dim), jac.T @ (target - values))
-        while np.linalg.norm(step) > 1e-15:
-            trial = SimplexSpec.from_vector(n, np.maximum((lengths + step) ** 2, 1e-9).tolist())
-            if is_realizable(trial):
+        trial, halvings = None, 0
+        while np.linalg.norm(step) > 1e-15 and halvings <= bound:
+            candidate = SimplexSpec.from_vector(
+                n, np.maximum((lengths + step) ** 2, 1e-9).tolist()
+            )
+            if is_realizable(candidate):
+                trial = candidate
                 break
-            step = step / 2.0
-        if np.linalg.norm(step) <= 1e-15:
+            step, halvings = step / 2.0, halvings + 1
+        if trial is None:
             stop = "stall"
             break
         trial_values, trial_jac = evaluate(trial)
@@ -277,7 +283,7 @@ def test_solve_matches_halve_and_retest_reference():
                     n=n, target=target, start=random_realizable_spec(n, rng), max_iters=200
                 )
                 result = solve(problem)
-                spec, trajectory, iterations, stop = reference_solve(problem)
+                spec, trajectory, iterations, stop = reference_solve(problem, max_halvings=20)
                 assert result.trajectory == trajectory
                 assert result.iterations == iterations
                 assert result.converged == (trajectory[-1] <= problem.tol)
@@ -285,6 +291,29 @@ def test_solve_matches_halve_and_retest_reference():
                 assert result.stop_reason == reference_stop_reason(stop, result.converged)
                 stops.append(stop)
     assert stops.count("stall") >= 5 and stops.count("done") >= 20
+
+
+def test_halving_bound_loses_no_preimage():
+    # uncapped halving reaches the same preimages: converging starts never go 20 deep
+    converged = stalled = 0
+    for n in (4, 5):
+        x_max = float(family_constants(n).x_max)
+        for index, fraction in enumerate((0.25, 0.5, 0.75)):
+            target = all_face_volumes(build_pair(n, fraction * x_max).minus.spec, n - 2)
+            rng = np.random.default_rng(10 * n + index)
+            for _ in range(10):
+                problem = InverseProblem(
+                    n=n, target=target, start=random_realizable_spec(n, rng), max_iters=200
+                )
+                result = solve(problem)
+                spec, trajectory, iterations, _ = reference_solve(problem)
+                assert result.converged == (trajectory[-1] <= problem.tol)
+                if result.converged:
+                    assert np.array_equal(result.solution.vector(), spec.vector())
+                    assert result.iterations == iterations
+                    converged += 1
+                stalled += result.stop_reason == "step_stall"
+    assert converged >= 20 and stalled >= 5
 
 
 def reference_stop_reason(stop, converged):
@@ -311,15 +340,36 @@ def test_stop_reason_at_iteration_limit():
 
 
 def test_gram_rows_pinned_for_mirror_target(eigvalsh_rows):
-    # a mirror-target solve that stalls: its backtracking reaches blocks past the first
+    # a mirror-target solve that stalls: its backtracking reaches the third
+    # block, and the 20-halving bound keeps it from a fourth
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
     start = random_realizable_spec(4, np.random.default_rng(1))
     eigvalsh_rows.clear()  # the start draw's tests
     result = solve(InverseProblem(n=4, target=target, start=start))
-    assert (result.stop_reason, result.iterations) == ("step_stall", 30)
-    assert result.gram_rows == sum(eigvalsh_rows) == 1184
-    assert max(eigvalsh_rows) > 21  # blocks past the third were tested
+    assert (result.stop_reason, result.iterations) == ("step_stall", 11)
+    assert result.gram_rows == sum(eigvalsh_rows) == 205
+    assert max(eigvalsh_rows) <= 16  # no block past the third (1 + 4 + 16 = 21 halvings)
+
+
+def test_stop_reason_damping_overflow(monkeypatch):
+    # every trial after the start is worse, so each round rejects and damps 10x more
+    point_volumes = inverse.point_volumes
+    calls = []
+
+    def worse_after_start(*args):
+        values, cm = point_volumes(*args)
+        calls.append(None)
+        return (values if len(calls) == 1 else values + 1e3), cm
+
+    monkeypatch.setattr(inverse, "point_volumes", worse_after_start)
+    pair = build_pair(4, Fraction(1, 2))
+    target = all_face_volumes(pair.minus.spec, 2)
+    result = solve(InverseProblem(n=4, target=target, start=regular_simplex(4)))
+    assert result.stop_reason == "damping_overflow"
+    assert result.iterations == 0 and not result.converged
+    assert result.trajectory == [result.residual_norm]
+    assert len(calls) > 2  # the start and several rejected trials
 
 
 def test_rejected_trials_compute_no_inverse(monkeypatch):
