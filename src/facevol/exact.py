@@ -2,9 +2,9 @@
 
 Determinants come from one Bareiss fraction-free elimination kernel over
 stacks of Python-int matrices, so they are exact for integers and
-Fractions.  Matrix products run in float64 (a BLAS product) or int64, and
-entrywise product sums in int64, when an a-priori bound makes every partial
-sum an exactly representable integer; they fall back to Python ints otherwise.
+Fractions.  Matrix products run in float64 (a BLAS product) or int64 when
+an a-priori bound makes every partial sum an exactly representable integer,
+and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -94,19 +94,6 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype = np.float64 if bound < _FLOAT64_EXACT else exact_int_dtype(bound)
     product = a.astype(dtype) @ b.astype(dtype)
     return product.astype(np.int64) if dtype is np.float64 else product
-
-
-def exact_hadamard_sum(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of the entrywise product of two integer arrays of one shape.
-
-    For symmetric a, this is trace(a @ b).  It sums in int64 when the bound
-    max|a|*max|b|*size on every partial sum is below 2**62, else in Python ints.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    dtype = exact_int_dtype(_amax(a) * _amax(b) * a.size)
-    a, b = a.astype(dtype, copy=False).ravel(), b.astype(dtype, copy=False).ravel()
-    return int(np.einsum("i,i->", a, b))
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -239,9 +239,11 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
     Returns a report with the max entrywise deviation plus the rank
     certificate at that point.
     """
-    constants = regular_point_constants(n)
-    # the adjacency checks the Kneser order limit before any Jacobian is built
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    # the adjacency checks the Kneser order limit before the constants and the Jacobian
     pattern = build_kneser_adjacency(n, 2).matrix.astype(float)
+    constants = regular_point_constants(n)
     jac = analytic_jacobian(regular_simplex(n))
     deviation = float(np.abs(jac - constants.scale * pattern).max())
     rank, ratio = _rank(jac)

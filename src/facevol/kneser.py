@@ -2,9 +2,11 @@
 
 Vertices are the k-subsets of {1,...,n+1} in lexicographic order; two
 subsets are adjacent iff disjoint.  The spectrum is certified once, with
-exact integer arithmetic: an annihilating polynomial product proves the
-listed eigenvalues exhaust it, power traces confirm the closed-form
+exact integer arithmetic and no matrix, in the (k+1)-dimensional algebra of
+the Johnson scheme J(n+1,k): an annihilating polynomial proves the listed
+eigenvalues exhaust it, power traces confirm the closed-form
 multiplicities, and the determinant is read off the certified spectrum.
+The adjacency matrix and its certificates are an independent reference.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .exact import (
-    exact_hadamard_sum,
-    exact_int_dtype,
-    exact_matmul,
-    int_determinant,
-    solve_fraction_system,
-)
+from .exact import exact_matmul, int_determinant, solve_fraction_system
 from .simplex import k_subsets
 
 MAX_ORDER_DEFAULT = 5000
@@ -66,24 +62,43 @@ def _intersection_sizes(n: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarr
     return subsets, sum(incidence[:, elements[:, j]] for j in range(k))
 
 
-def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> KneserAdjacency:
-    """Adjacency matrix of K(n+1,k): entry (E,F) = 1 iff E and F are disjoint."""
+def kneser_order(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> int:
+    """C(n+1,k), the order of K(n+1,k); ValueError for k outside 1..n+1 or an order past max_order.
+
+    C(n+1,i) grows with i up to (n+1)/2 and is built step by step, i = 1..min(k, n+1-k).
+    The build stops once it passes max_order**2 (a larger order is shown as a
+    lower bound), so an input far past the limit never computes a huge binomial.
+    """
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    order = comb(n + 1, k)
+    steps, order, i = min(k, n + 1 - k), 1, 0
+    while i < steps and order <= max_order**2:
+        i += 1
+        order = order * (n + 2 - i) // i
     if order > max_order:
+        shown = order if i == steps else f"over {order}"
         raise ValueError(
-            f"K({n + 1},{k}) has order {order}, above the limit of {max_order} "
+            f"K({n + 1},{k}) has order {shown}, above the limit of {max_order} "
             f"vertices for an exact adjacency matrix"
         )
+    return order
+
+
+def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> KneserAdjacency:
+    """Adjacency matrix of K(n+1,k): entry (E,F) = 1 iff E and F are disjoint."""
+    kneser_order(n, k, max_order)
     subsets, sizes = _intersection_sizes(n, k)
     return KneserAdjacency(n=n, k=k, subsets=tuple(subsets), matrix=(sizes == 0).astype(np.int64))
 
 
-def predicted_eigenvalues(n: int, k: int) -> list[int]:
-    """The k+1 integers (-1)^i * binomial(n-k-i+1, k-i), i = 0..k."""
+def _check_spectrum_range(n: int, k: int) -> None:
     if not (2 <= k and 2 * k <= n + 1):
         raise ValueError(f"need 2 <= k <= (n+1)/2, got n={n}, k={k}")
+
+
+def predicted_eigenvalues(n: int, k: int) -> list[int]:
+    """The k+1 integers (-1)^i * binomial(n-k-i+1, k-i), i = 0..k."""
+    _check_spectrum_range(n, k)
     return [(-1) ** i * comb(n - k - i + 1, k - i) for i in range(k + 1)]
 
 
@@ -119,7 +134,7 @@ def predicted_spectrum(n: int, k: int) -> SpectrumSpec:
     """Eigenvalues of K(n+1,k) with their closed-form multiplicities.
 
     Eigenvalue i has multiplicity binomial(n+1,i) - binomial(n+1,i-1)
-    (Lovasz 1979); spectrum_report certifies both against the adjacency.
+    (Lovasz 1979); spectrum_report certifies both.
     """
     lams = predicted_eigenvalues(n, k)
     mults = [comb(n + 1, i) - comb(n + 1, i - 1) if i else 1 for i in range(k + 1)]
@@ -163,58 +178,53 @@ def line_graph_complement_check(n: int) -> bool:
     return identity_holds and translation_holds
 
 
-def _polynomial_at(powers: list[np.ndarray], roots: list[int]) -> np.ndarray:
-    """(M - r_1 I)...(M - r_d I) for nonnegative M, exactly, from powers [M, ..., M^h], d <= h.
+def product_rule(n: int, k: int) -> list[list[int]]:
+    """Multiplication by the Kneser adjacency in the Johnson scheme J(n+1,k).
 
-    Expands the product into coefficients c_j and sums c_j M^j, in a dtype
-    chosen from the bound sum_j |c_j| max(M^j) on every entry and partial sum.
+    A_l joins two k-subsets that meet in k-l points, so A_0 = I and A_k = M.
+    For |E & F| = k-l, the G that miss E and meet F in k-j points number
+    C(l, k-j) * C(n+1-k-l, j), so A_k A_j = sum_l L[l][j] A_l with L as returned.
     """
-    coeffs = [1]  # coeffs[j] multiplies x^j
-    for r in roots:
-        coeffs = [hi - r * lo for hi, lo in zip([0] + coeffs, coeffs + [0])]
-    bound = abs(coeffs[0]) + sum(abs(c) * int(p.max()) for c, p in zip(coeffs[1:], powers))
-    dtype = exact_int_dtype(bound)
-    value = sum(c * p.astype(dtype, copy=False) for c, p in zip(coeffs[1:], powers))
-    value[np.diag_indices_from(value)] += coeffs[0]
-    return value
+    return [[comb(l, k - j) * comb(n + 1 - k - l, j) for j in range(k + 1)] for l in range(k + 1)]
+
+
+def _apply(rule: list[list[int]], c: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, c)) for row in rule]
 
 
 def spectrum_report(n: int, k: int) -> dict:
     """Full exact certificate: eigenvalues (descending), multiplicities, det, annihilation.
 
-    Raises ArithmeticError unless sum_i m_i * lam_i^p = trace(M^p), p = 0..k;
-    with annihilation these certify the spectrum, so det = prod lam^m (else Bareiss).
-
-    With h = ceil((k+1)/2), M^2..M^h are built once (h - 1 products).  M is
-    symmetric, so trace(M^(a+b)) = sum(M^a o M^b) gives every trace from
-    them.  The annihilating polynomial prod(x - lam_i) over all k+1 listed
-    eigenvalues (repeats kept) splits as Q*R with deg Q = h >= deg R, so it
-    vanishes at M iff Q(M) @ R(M) = 0: one more product, h in all.
+    M^p = sum_l c_l A_l with c = L^p e_0 (product_rule).  Only A_0 has a nonzero
+    diagonal, so trace(M^p) = C(n+1,k) c_0, and the A_l have disjoint nonempty
+    supports, so prod(M - lam_i I) = 0 iff prod(L - lam_i I) e_0 = 0.  Raises
+    ArithmeticError unless both checks hold (traces for p = 0..k); they certify
+    the spectrum, so det = prod lam^m.  Checks k, then the order, then binomials.
     """
+    _check_spectrum_range(n, k)
+    order = kneser_order(n, k)
     spectrum = predicted_spectrum(n, k)
     pairs = list(zip(spectrum.eigenvalues, spectrum.multiplicities))
-    adj = build_kneser_adjacency(n, k)
-    h = (k + 2) // 2
-    powers = [adj.matrix]  # powers[a - 1] = M^a
-    while len(powers) < h:
-        powers.append(exact_matmul(powers[-1], adj.matrix))
-    traces = [adj.order, int(np.trace(adj.matrix))] + [
-        exact_hadamard_sum(powers[(p + 1) // 2 - 1], powers[p // 2 - 1]) for p in range(2, k + 1)
-    ]
-    for p, trace in enumerate(traces):
-        expected = sum(m * lam**p for lam, m in pairs)
+    rule = product_rule(n, k)
+    power = [1] + [0] * k  # M^0 = A_0
+    for p in range(k + 1):
+        trace, expected = order * power[0], sum(m * lam**p for lam, m in pairs)
         if trace != expected:
             raise ArithmeticError(f"trace of M^{p} is {trace}, multiplicities give {expected}")
-    roots = [int(lam) for lam in spectrum.eigenvalues]
-    product = exact_matmul(_polynomial_at(powers, roots[:h]), _polynomial_at(powers, roots[h:]))
-    annihilated = not np.any(product != 0)
-    det = prod(lam**m for lam, m in pairs) if annihilated else exact_determinant(adj)
+        power = _apply(rule, power)
+    product = [1] + [0] * k
+    for lam in spectrum.eigenvalues:
+        product = [x - lam * y for x, y in zip(_apply(rule, product), product)]
+    if any(product):
+        raise ArithmeticError(
+            f"prod(M - lam I) over the eigenvalues {list(spectrum.eigenvalues)} is not zero"
+        )
     pairs.sort(key=lambda pair: -pair[0])
     return {
         "n": n,
         "k": k,
-        "eigenvalues": [int(lam) for lam, _ in pairs],
-        "multiplicities": [int(m) for _, m in pairs],
-        "det": str(det),
-        "annihilation": annihilated,
+        "eigenvalues": [lam for lam, _ in pairs],
+        "multiplicities": [m for _, m in pairs],
+        "det": str(prod(lam**m for lam, m in pairs)),
+        "annihilation": True,
     }

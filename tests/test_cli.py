@@ -1,4 +1,5 @@
 import json
+import time
 from math import comb
 
 import pytest
@@ -109,30 +110,17 @@ def test_spectrum_wrong_multiplicity_is_caught(capsys, monkeypatch, n, k):
     assert out == "" and err.startswith("facevol spectrum: trace of M^")
 
 
-def test_spectrum_annihilation_failure_falls_back_to_bareiss(capsys, monkeypatch):
-    exact_matmul, exact_determinant = kneser.exact_matmul, kneser.exact_determinant
-    products, bareiss = [], []
-
-    def nonzero_annihilator(a, b):
-        products.append(None)
-        product = exact_matmul(a, b)
-        # K(7,3) takes two products per report: M^2, then Q(M) @ R(M)
-        return product + 1 if len(products) % 2 == 0 else product
-
-    def recorded_determinant(adj):
-        bareiss.append(adj)
-        return exact_determinant(adj)
-
-    monkeypatch.setattr(kneser, "exact_matmul", nonzero_annihilator)
-    monkeypatch.setattr(kneser, "exact_determinant", recorded_determinant)
-    report = kneser.spectrum_report(6, 3)
-    assert report["annihilation"] is False
-    assert len(bareiss) == 1
-    assert report["det"] == str(exact_determinant(bareiss[0]))
-    code, out, err = run(capsys, "spectrum", "--n", "6", "--k", "3")
-    assert code == 1 and err == ""
-    assert json.loads(out) == {"schema_version": "1", **report}
-    assert len(products) == 4 and len(bareiss) == 2
+def test_spectrum_annihilation_failure_is_usage_error(capsys, monkeypatch):
+    # 2^3 + 0^5 + (-3)^2 matches the Petersen graph's traces 10, 0, 30, but 0
+    # and 2 are not eigenvalues of it, so prod(M - lam I) cannot vanish
+    wrong = SpectrumSpec((2, 0, -3), (3, 5, 2))
+    monkeypatch.setattr(kneser, "predicted_spectrum", lambda n, k: wrong)
+    with pytest.raises(ArithmeticError, match="is not zero"):
+        kneser.spectrum_report(4, 2)
+    code, out, err = run(capsys, "spectrum", "--n", "4", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("facevol spectrum: prod(M - lam I) over the eigenvalues [2, 0, -3]")
+    assert err.count("\n") == 1
 
 
 def test_spectrum_missing_k(capsys):
@@ -408,6 +396,34 @@ def test_spectrum_over_order_limit_is_usage_error(capsys):
     assert err.startswith("facevol spectrum:") and "20349" in err and "5000" in err
     assert "max_order" not in err
     assert err.count("\n") == 1
+
+
+def test_spectrum_far_over_order_limit_fails_fast(capsys):
+    # C(100001,10000) has ~14,000 digits: the order check stops at C(100001,2)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--n", "100000", "--k", "10000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol spectrum: K(100001,10000) has order over 5000050000, "
+        "above the limit of 5000 vertices for an exact adjacency matrix\n"
+    )
+
+
+def test_jacobian_order_limit_checked_before_constants(capsys, monkeypatch):
+    # factorial(N-2) and a float power overflowed before the order check
+    def no_constants(n):
+        raise AssertionError("the constants were computed before the order check")
+
+    monkeypatch.setattr(jacobian, "regular_point_constants", no_constants)
+    code, out, err = run(capsys, "jacobian", "--n", "100000")
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol jacobian: K(100001,2) has order 5000050000, "
+        "above the limit of 5000 vertices for an exact adjacency matrix\n"
+    )
+    code, out, err = run(capsys, "jacobian", "--n", "2")
+    assert code == 2 and err == "facevol jacobian: need n >= 3, got 2\n"
 
 
 def test_jacobian_over_order_limit_builds_no_jacobian(capsys, monkeypatch):

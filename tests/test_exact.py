@@ -9,7 +9,6 @@ from facevol import SimplexSpec, build_cm_matrix, squared_volume
 from facevol import exact
 from facevol.exact import (
     bareiss_determinants,
-    exact_hadamard_sum,
     exact_matmul,
     fraction_determinant,
     int_determinant,
@@ -248,36 +247,6 @@ def test_exact_matmul_zero_factor_never_casts_big_entries(int_dtype_calls):
     product = exact_matmul(a, np.zeros((2, 2), dtype=np.int64))
     assert product.tolist() == [[0, 0]]
     assert int_dtype_calls == [(2**71, object)]
-
-
-@pytest.mark.parametrize(
-    "amax, bmax, path",
-    [
-        (2**30, 2**30 - 1, np.int64),  # bound 2**62 - 2**32 over 4 entries
-        (2**30, 2**30, object),  # bound exactly 2**62
-    ],
-)
-def test_exact_hadamard_sum_paths_at_their_bounds(int_dtype_calls, amax, bmax, path):
-    rng = np.random.default_rng(amax + bmax)
-    a, b = pinned(rng, (2, 2), amax), pinned(rng, (2, 2), bmax)
-    total = exact_hadamard_sum(a, b)
-    assert int_dtype_calls == [(amax * bmax * 4, path)]
-    assert type(total) is int
-    assert total == sum(x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist()))
-
-
-def test_exact_hadamard_sum_past_int64():
-    a = np.full((2, 2), -(2**32))
-    assert exact_hadamard_sum(a, a) == 2**66  # an int64 sum would wrap
-
-
-def test_exact_hadamard_sum_is_trace_of_symmetric_product():
-    rng = np.random.default_rng(7)
-    for size in (1, 5, 9):
-        s = rng.integers(-9, 10, size=(size, size))
-        s = s + s.T
-        t = rng.integers(-9, 10, size=(size, size))
-        assert exact_hadamard_sum(s, t) == np.trace(s @ t)
 
 
 def test_solve_fraction_system_exact():

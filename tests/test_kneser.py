@@ -274,15 +274,6 @@ def products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "n, k, count", [(3, 2, 2), (12, 2, 2), (5, 3, 2), (12, 3, 2), (7, 4, 3), (9, 4, 3)]
-)
-def test_report_products(products, n, k, count):
-    # M^2..M^h with h = ceil((k+1)/2), then Q(M) @ R(M)
-    spectrum_report(n, k)
-    assert len(products) == count
-
-
 def test_reference_certificates_skip_identity_products(products):
     adj = build_kneser_adjacency(8, 4)
     spectrum = predicted_spectrum(8, 4)  # five distinct eigenvalues
@@ -294,14 +285,86 @@ def test_reference_certificates_skip_identity_products(products):
     assert not any(np.array_equal(x, eye) for pair in products for x in pair)
 
 
-@pytest.mark.parametrize("roots", [[3, -2], [20, -10, 4], [2**40, -(2**40)]])
-def test_polynomial_at_matches_factor_product(roots):
-    matrix = build_kneser_adjacency(8, 3).matrix
-    powers = [matrix, matrix @ matrix, matrix @ matrix @ matrix]
-    eye = np.eye(len(matrix), dtype=object)
-    expected = eye
-    for r in roots:
-        expected = np.dot(expected, matrix.astype(object) - r * eye)
-    value = kneser._polynomial_at(powers, roots)
-    assert value.dtype == (object if roots[0] == 2**40 else np.int64)  # -2**80 I needs Python ints
-    assert value.tolist() == expected.tolist()
+# every (n, k) with 1 <= k <= (n+1)/2 and order C(n+1,k) <= 500
+RULE_CASES = [
+    (n, k) for n in range(1, 500) for k in range(1, (n + 1) // 2 + 1) if comb(n + 1, k) <= 500
+]
+
+
+def transposed_rule(n, k):
+    return [list(col) for col in zip(*kneser.product_rule(n, k))]
+
+
+def swapped_binomial_rule(n, k):
+    """The rule with C(l, k-j) miswritten as C(l, j)."""
+    return [[comb(l, j) * comb(n + 1 - k - l, j) for j in range(k + 1)] for l in range(k + 1)]
+
+
+def rules_holding(n, k, rules):
+    """Which rules give A_k @ A_j == sum_l rule[l][j] * A_l entrywise, A_l = (|E & F| == k - l)."""
+    relation = k - kneser._intersection_sizes(n, k)[1].astype(np.int64)  # l of every pair (E, F)
+    a = [(relation == l).astype(float) for l in range(k + 1)]
+    products = [a[k] @ a[j] for j in range(k + 1)]  # entries are at most the order: exact
+    # the A_l have disjoint supports, so sum_l rule[l][j] * A_l is rule[l][j] at each pair
+    tables = [np.array(rule, dtype=float)[relation] for rule in rules]
+    return [all(np.array_equal(p, t[:, :, j]) for j, p in enumerate(products)) for t in tables]
+
+
+def test_product_rule_matches_matrix_products():
+    # the only guard on how the rule is indexed: the trace and annihilation
+    # checks also pass with the transposed rule, which the products catch
+    assert len(RULE_CASES) == 545
+    differs = {transposed_rule: 0, swapped_binomial_rule: 0}
+    for n, k in RULE_CASES:
+        rule = kneser.product_rule(n, k)
+        mutants = [mutant(n, k) for mutant in differs]
+        holds = rules_holding(n, k, [rule] + mutants)
+        assert holds[0], (n, k)
+        for mutant, wrong, mutant_holds in zip(differs, mutants, holds[1:]):
+            assert mutant_holds == (wrong == rule), (mutant.__name__, n, k)
+            differs[mutant] += wrong != rule
+    # every wrong rule fails; the transposed one differs except at the five
+    # perfect matchings K(2j,j), j = 1..5, whose rule is symmetric
+    assert list(differs.values()) == [540, 545]
+
+
+@pytest.mark.parametrize("n, k", BENCH_CASES + [(3, 2), (5, 3), (7, 4), (99, 2), (20, 3), (14, 5)])
+def test_spectrum_report_builds_no_matrix(monkeypatch, n, k):
+    def no_matrix(*args):
+        raise AssertionError("spectrum_report built a matrix")
+
+    monkeypatch.setattr(kneser, "build_kneser_adjacency", no_matrix)
+    monkeypatch.setattr(kneser, "exact_matmul", no_matrix)
+    assert spectrum_report(n, k)["annihilation"] is True
+
+
+def test_spectrum_report_at_order_limit_matches_closed_form():
+    # K(100,2) has order 4950, just under the 5000-vertex limit
+    n = 99
+    report = spectrum_report(n, 2)
+    assert report["eigenvalues"] == [comb(n - 1, 2), 1, 2 - n]
+    assert report["multiplicities"] == [1, (n + 1) * (n - 2) // 2, n]
+    assert abs(int(report["det"])) == (n - 2) ** (n + 1) * (n - 1) // 2
+    assert report["annihilation"] is True
+
+
+@pytest.mark.parametrize(
+    "n, k, shown", [(20, 5, "order 20349,"), (100000, 10000, "order over 5000050000,")]
+)
+def test_order_limit_checked_before_any_binomial(monkeypatch, n, k, shown):
+    def no_binomials(n, k):
+        raise AssertionError("the spectrum was predicted before the order check")
+
+    monkeypatch.setattr(kneser, "predicted_spectrum", no_binomials)
+    with pytest.raises(ValueError, match=f"K\\({n + 1},{k}\\) has {shown} above the limit of 5000"):
+        spectrum_report(n, k)
+
+
+def test_kneser_order_exact_up_to_limit_squared():
+    for n, k in RULE_CASES + [(9, 9), (9, 10), (30, 30), (30, 31)]:
+        assert kneser.kneser_order(n, k, max_order=500) == comb(n + 1, k)
+    with pytest.raises(ValueError, match="has order 4060, above the limit of 500 "):
+        kneser.kneser_order(29, 27, max_order=500)  # C(30,27) = C(30,3), built in 3 steps
+    # C(1001,i) passes 500**2 at i = 2, so the order is shown as over C(1001,2)
+    with pytest.raises(ValueError, match="has order over 500500, above the limit of 500 "):
+        kneser.kneser_order(1000, 400, max_order=500)
