@@ -8,7 +8,9 @@ converged, degenerate_face (the Jacobian is undefined), step_stall (none
 of those halvings above STEP_STALL embeds), damping_overflow (the damping
 passed MAX_DAMPING) or max_iters.
 Multi-start probing exposes targets with several preimages, e.g. both
-members of a mirror pair.
+members of a mirror pair.  Its starts are log-uniform draws, rejection-
+sampled in blocks; realizable_rows' triangle screen rejects most of them
+(about 85%, 97% and 99.5% at n = 4, 5, 6) before any Gram eigenvalue is computed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ STEP_STALL = 1e-15
 MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
-START_BLOCK = 64  # start draws made and tested per batch
+START_BLOCK = 256  # start draws made and tested per batch
 MAX_HALVINGS = 20  # 1 + 4 + 16 candidates: at most three Gram eigenvalue blocks
 HALVINGS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 
@@ -161,9 +163,10 @@ def result_to_json(result: SolveResult) -> dict:
 def random_realizable_spec(n: int, rng: np.random.Generator, max_tries: int = 10000) -> SimplexSpec:
     """Squared lengths log-uniform in [0.25, 4], rejected until realizable.
 
-    Draws are made and Gram-tested START_BLOCK at a time.  On a hit the
-    generator is rewound to the block's start and advanced past the accepted
-    draw only, so it ends where a one-draw-at-a-time loop would leave it.
+    Draws are made and tested START_BLOCK at a time by realizable_rows, whose
+    triangle screen spares most an eigvalsh.  On a hit the generator is rewound
+    to the block's start and advanced past the accepted draw only, so for any
+    block size it ends where a one-draw-at-a-time loop would leave it.
     """
     low, high = np.log(START_RANGE[0]), np.log(START_RANGE[1])
     dim = comb(n + 1, 2)

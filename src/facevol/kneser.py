@@ -78,8 +78,7 @@ def kneser_order(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> int:
     if order > max_order:
         shown = order if i == steps else f"over {order}"
         raise ValueError(
-            f"K({n + 1},{k}) has order {shown}, above the limit of {max_order} "
-            f"vertices for an exact adjacency matrix"
+            f"K({n + 1},{k}) has order {shown}, above the limit of {max_order} vertices"
         )
     return order
 

@@ -30,6 +30,7 @@ import numpy as np
 from .exact import bareiss_determinants
 
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
+TRIANGLE_SCREEN_MARGIN = 3e-8  # relative to (n+1) * a row's largest squared length
 ZERO_VOLUME_REL_TOL = 1e-12
 
 
@@ -395,13 +396,39 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     )
 
 
+@cache
+def _triangle_edges(n: int) -> np.ndarray:
+    """Read-only lex-pair indices of edges ij, ik, jk (rows) of each triangle i<j<k (columns)."""
+    index = {pair: m for m, pair in enumerate(lex_pairs(n))}
+    edges = [(index[i, j], index[i, k], index[j, k]) for i, j, k in k_subsets(n, 3)]
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+    edges.setflags(write=False)
+    return edges
+
+
 def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
     """The is_realizable test on each row of squared lengths in lex pair order.
 
     `squared` has shape (..., binomial(n+1, 2)); the boolean result has shape (...).
+    A triangle screen first rejects rows that the Gram test provably rejects;
+    only the others get an eigvalsh.  Triangle ijk's Gram matrix at vertex i
+    is T G T' with T's rows e_j - e_i and e_k - e_i (e_1 = 0), and |T|^2 <= 3,
+    so lam_min(G) <= lam_tri / 3 when lam_tri < 0.  Rows are scaled by
+    M = max(largest squared length, 1e-300) and rejected when some
+    lam_tri / 3 < -TRIANGLE_SCREEN_MARGIN * (n+1) * M.  As tol <= 1e-10 * n * M,
+    such a row has lam_min(G) below -300 tol, a gap far beyond the ~1e-15 * n * M
+    error of eigvalsh or of the closed form.
     """
-    low, tol = _gram_test(squared_distance_matrix(n, squared))
-    return low >= -tol
+    rows = squared.reshape(-1, squared.shape[-1])
+    # scaled to at most 1/2, so the squares below neither overflow nor matter if they underflow
+    half = rows * (0.5 / np.maximum(rows.max(axis=1, keepdims=True), 1e-300))
+    p, q, r = (half[:, edges] for edges in _triangle_edges(n))
+    lam_tri = p + q - np.sqrt((p - q) ** 2 + (p + q - r) ** 2)
+    tested = ~(np.min(lam_tri, axis=1, initial=np.inf) / 3 < -TRIANGLE_SCREEN_MARGIN * (n + 1))
+    verdict = np.zeros(len(rows), dtype=bool)
+    low, tol = _gram_test(squared_distance_matrix(n, rows[tested]))
+    verdict[tested] = low >= -tol
+    return verdict.reshape(squared.shape[:-1])
 
 
 def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:

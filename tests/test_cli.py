@@ -406,7 +406,7 @@ def test_spectrum_far_over_order_limit_fails_fast(capsys):
     assert code == 2 and out == ""
     assert err == (
         "facevol spectrum: K(100001,10000) has order over 5000050000, "
-        "above the limit of 5000 vertices for an exact adjacency matrix\n"
+        "above the limit of 5000 vertices\n"
     )
 
 
@@ -420,7 +420,7 @@ def test_jacobian_order_limit_checked_before_constants(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == (
         "facevol jacobian: K(100001,2) has order 5000050000, "
-        "above the limit of 5000 vertices for an exact adjacency matrix\n"
+        "above the limit of 5000 vertices\n"
     )
     code, out, err = run(capsys, "jacobian", "--n", "2")
     assert code == 2 and err == "facevol jacobian: need n >= 3, got 2\n"

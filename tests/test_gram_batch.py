@@ -1,6 +1,8 @@
 """Property tests: the stacked Gram test agrees with the one-spec test row by row,
-and the blocked first-hit search agrees with the stacked test."""
+the triangle screen changes none of its decisions, and the blocked first-hit
+search agrees with the stacked test."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -9,9 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
-from facevol.simplex import first_realizable, realizable_rows
+from facevol.simplex import (
+    TRIANGLE_SCREEN_MARGIN,
+    _gram_test,
+    first_realizable,
+    realizable_rows,
+    squared_distance_matrix,
+)
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
+
+
+def gram_only(n, rows):
+    """The eigvalsh-only decision that realizable_rows screens for."""
+    low, tol = _gram_test(squared_distance_matrix(n, np.asarray(rows, dtype=float)))
+    return low >= -tol
 
 
 @st.composite
@@ -64,6 +78,7 @@ def test_stacked_gram_test_matches_single_rows(case):
     n, rows, boundary = case
     batched = realizable_rows(n, rows)
     assert batched.shape == (len(rows),)
+    assert batched.tolist() == gram_only(n, rows).tolist()  # the triangle screen moves no decision
     for row, verdict, flat in zip(rows, batched, boundary):
         spec = SimplexSpec.from_vector(n, row.tolist())
         assert bool(verdict) == is_realizable(spec).realizable
@@ -122,3 +137,86 @@ def test_first_realizable_blocks(eigvalsh_rows, hit, count, tested):
     assert first_realizable(3, rows) == (hit, tested)
     assert hit == first_stacked_hit(3, rows)
     assert sum(eigvalsh_rows[:-1]) == tested  # the last call is first_stacked_hit's
+
+
+# --- the triangle screen in front of the Gram test ---------------------------
+
+def triangle_low(n, row):
+    """Smallest eigenvalue of every triangle's 2x2 Gram matrix at its first vertex, by eigvalsh."""
+    d = squared_distance_matrix(n, np.asarray(row, dtype=float))
+    return min(
+        np.linalg.eigvalsh(np.array([
+            [d[i, j], (d[i, j] + d[i, k] - d[j, k]) / 2],
+            [(d[i, j] + d[i, k] - d[j, k]) / 2, d[i, k]],
+        ]))[0]
+        for i, j, k in combinations(range(n + 1), 3)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_triangle_screen_matches_gram_test_on_log_uniform_blocks(eigvalsh_rows, n):
+    rng = np.random.default_rng(100 + n)
+    rows = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(4000, comb(n + 1, 2))))
+    # huge and tiny rescalings screen the same rows: the screen scales each row by its largest
+    for scale in (1.0, 1e-300, 1e300):
+        verdicts = realizable_rows(n, scale * rows)
+        tested = eigvalsh_rows[-1]
+        assert verdicts.tolist() == gram_only(n, scale * rows).tolist()
+        assert tested == eigvalsh_rows[0] < len(rows) // 2  # most draws get no eigvalsh
+    # subnormal rows: the 1e-300 floor under the scale keeps the screen from rejecting any
+    tiny = 2.0**-1060 * rows
+    assert realizable_rows(n, tiny).tolist() == gram_only(n, tiny).tolist()
+
+
+def near_collinear(n, nudge):
+    """n+1 points in general position but for the last three, which are collinear;
+    the squared length of the last edge is then scaled by 1 + nudge."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-1.0, 1.0, size=(n + 1, n))
+    points[n] = 2 * points[n - 1] - points[n - 2]
+    row = vertices_to_spec(points).vector()
+    row[-1] *= 1.0 + nudge
+    return row
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_triangle_screen_keeps_rows_that_embed_within_tolerance(n):
+    # the triangle on the last three vertices misses vertex 1 (for n > 2) and is
+    # slightly negative, but the Gram test accepts: a screen without margin would not
+    row = near_collinear(n, -1e-12)
+    assert triangle_low(n, row) < 0
+    assert gram_only(n, row)
+    assert realizable_rows(n, row)
+    far = near_collinear(n, -1e-3)  # well past the tolerance: both tests reject it
+    assert not gram_only(n, far) and not realizable_rows(n, far)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_triangle_screen_margin(eigvalsh_rows, n):
+    # unit lengths but one edge of squared length d; the triangles on it have
+    # lam = 2 - d/2 and every row has largest length d.  Each row puts lam / 3 at
+    # `factor` times the bar -TRIANGLE_SCREEN_MARGIN * (n+1) * d.
+    margin = TRIANGLE_SCREEN_MARGIN * (n + 1)
+    factors = [0.34, 0.99, 1.01, 3.0]
+    rows = np.ones((len(factors), comb(n + 1, 2)))
+    rows[:, -1] = [2 / (0.5 - 3 * factor * margin) for factor in factors]
+    for row, factor in zip(rows, factors):
+        assert triangle_low(n, row) / 3 / (-margin * row[-1]) == pytest.approx(factor, rel=1e-6)
+    eigvalsh_rows.clear()
+    assert realizable_rows(n, rows).tolist() == [False] * 4
+    assert eigvalsh_rows == [2]  # only the two rows above the bar get an eigvalsh
+    assert gram_only(n, rows).tolist() == [False] * 4
+
+
+@pytest.mark.parametrize("n, rows, verdicts", [
+    (1, [[0.0], [1.0], [1e-300], [5e-324], [1e300]], [True] * 5),  # no triangle
+    (2, [[0.0] * 3, [1, 1, 4], [1, 1, 4.001], [1, 1, 1e-300]], [True, True, False, True]),
+    (3, [[0.0] * 6, [0, 1, 1, 1, 1, 1], [0, 1, 4, 1, 1, 1]], [True, True, False]),
+    (5, [[0.0] * 15], [True]),
+])
+def test_triangle_screen_small_and_zero_rows(n, rows, verdicts):
+    # zeros: coincident vertices; n = 1 has no triangle and n = 2 exactly one
+    rows = np.array(rows)
+    assert realizable_rows(n, rows).tolist() == verdicts
+    assert gram_only(n, rows).tolist() == verdicts
+    assert [bool(realizable_rows(n, row)) for row in rows] == verdicts

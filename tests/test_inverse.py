@@ -189,13 +189,26 @@ def test_random_realizable_spec_matches_reference_loop(n):
         assert rng.uniform() == ref_rng.uniform()  # same number of draws consumed
 
 
+@pytest.mark.parametrize("seed, starts", [(63, 1), (89, 1), (105, 2), (170, 2)])
+def test_random_realizable_spec_matches_reference_loop_at_6(seed, starts):
+    # about 1 in 30,000 draws embeds at n=6; these seeds hit at draws 255 (the
+    # last row of the first block), 91, 579 and 960, and 1567 and 2348
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(starts):
+        spec = random_realizable_spec(6, rng)
+        assert np.array_equal(spec.vector(), reference_start(6, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.uniform() == ref_rng.uniform()
+
+
 def test_random_realizable_spec_failure_consumes_max_tries_draws():
-    # 100 is not a multiple of the draw block; no draw embeds at n=6
+    # 300 draws fill one block and part of a second; no draw embeds at n=6
+    assert inverse.START_BLOCK < 300 and 300 % inverse.START_BLOCK
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    with pytest.raises(StartDrawError, match="no realizable start in 100 draws"):
-        random_realizable_spec(6, rng, max_tries=100)
+    with pytest.raises(StartDrawError, match="no realizable start in 300 draws"):
+        random_realizable_spec(6, rng, max_tries=300)
     with pytest.raises(AssertionError):
-        reference_start(6, ref_rng, max_tries=100)
+        reference_start(6, ref_rng, max_tries=300)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

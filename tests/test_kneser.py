@@ -24,10 +24,20 @@ from facevol.exact import exact_matmul
 BENCH_CASES = [(n, 2) for n in range(4, 13)] + [(n, 3) for n in range(6, 13)] + [(8, 4), (9, 4)]
 
 
+POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
 def pairwise_shared(n, k, shared):
-    """Reference: 1 where two k-subsets share exactly `shared` elements, pair by pair."""
-    masks = [sum(1 << v for v in s) for s in combinations(range(n + 1), k)]
-    return np.array([[(a & b).bit_count() == shared for b in masks] for a in masks], dtype=np.int64)
+    """Reference: 1 where two k-subsets share exactly `shared` elements.
+
+    Each subset is a 16-bit mask; every pair's AND is split into its two
+    bytes, whose set bits are counted by table lookup.
+    """
+    assert n + 1 <= 16
+    masks = np.array([sum(1 << v for v in s) for s in combinations(range(n + 1), k)], np.uint16)
+    both = (masks[:, None] & masks[None, :]).view(np.uint8)
+    counts = POPCOUNT[both].reshape(len(masks), len(masks), 2).sum(axis=2)
+    return (counts == shared).astype(np.int64)
 
 
 @pytest.mark.parametrize("n", range(2, 14))
