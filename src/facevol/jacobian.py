@@ -5,8 +5,9 @@ both in lexicographic order.  Entries are derivatives with respect to the
 plain (not squared) edge length, obtained by cofactor differentiation of
 the Cayley-Menger determinant; a central-difference Jacobian serves as an
 independent cross-check.  At the all-unit-edges simplex the Jacobian is a
-known constant times the Kneser adjacency matrix for k=2, which makes its
-rank (hence local algebraic independence of the face volumes) certifiable.
+known constant times the Kneser adjacency matrix for k=2: by symmetry one
+face's gradient fixes it, and the exact Kneser spectrum certifies its rank
+(hence local algebraic independence of the face volumes).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .kneser import build_kneser_adjacency
+from .kneser import spectrum_report
 from .simplex import (
     RealizabilityError,
     SimplexSpec,
@@ -214,47 +215,50 @@ def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
     return jac
 
 
-def _rank(jac: np.ndarray, rel_threshold: float = DEFAULT_RANK_THRESHOLD) -> tuple[int, float]:
-    """Numerical rank and min/max singular value ratio of a Jacobian."""
-    svals = np.linalg.svd(jac, compute_uv=False)
-    largest = float(svals[0])
-    if largest == 0.0:
-        return 0, 0.0
-    rank = int(np.sum(svals > rel_threshold * largest))
-    return rank, float(svals[-1]) / largest
-
-
 def jacobian_rank(spec: SimplexSpec, rel_threshold: float = DEFAULT_RANK_THRESHOLD):
     """Numerical rank and min/max singular value ratio of the Jacobian.
 
     Full rank binomial(n+1,2) certifies local algebraic independence of the
     codimension-2 face volumes at this spec.
     """
-    return _rank(analytic_jacobian(spec), rel_threshold)
+    svals = np.linalg.svd(analytic_jacobian(spec), compute_uv=False)
+    largest = float(svals[0])
+    if largest == 0.0:
+        return 0, 0.0
+    return int(np.sum(svals > rel_threshold * largest)), float(svals[-1]) / largest
 
 
 def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
-    """Compare the Jacobian at the all-unit simplex against scale * Kneser(k=2).
+    """Certify the Jacobian at the all-unit simplex as scale * Kneser(k=2).
 
-    Returns a report with the max entrywise deviation plus the rank
-    certificate at that point.
+    Every vertex permutation is an isometry of the regular simplex, so entry
+    [f, e] depends only on how edge e meets the complement pair of face f: it
+    is 0 unless they are disjoint (e then lies outside f), and one common value
+    otherwise.  So J = scale * A_2, and one face's gradient fixes the value.
+    Checks n, then the Kneser order limit (spectrum_report), then the constants.
+    The certified spectrum of A_2 gives the rank and sv_ratio = min|lam|/max|lam|;
+    passed needs max|gradient - scale| <= tol * scale and full rank.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    # the adjacency checks the Kneser order limit before the constants and the Jacobian
-    pattern = build_kneser_adjacency(n, 2).matrix.astype(float)
+    spectrum = spectrum_report(n, 2)
     constants = regular_point_constants(n)
-    jac = analytic_jacobian(regular_simplex(n))
-    deviation = float(np.abs(jac - constants.scale * pattern).max())
-    rank, ratio = _rank(jac)
+    face = np.arange(2, n + 1)[None]  # complement key (1, 2), 0-based vertices
+    stack = cm_stack(regular_simplex(n).distance_matrix, face)
+    gradient = _gradients(face, stack, cm_squared_volumes(stack), volume_scales(stack))
+    deviation = float(np.abs(gradient - constants.scale).max())
+    eigenvalues = zip(spectrum["eigenvalues"], spectrum["multiplicities"])
+    nonzero = [(abs(lam), m) for lam, m in eigenvalues if lam]
+    magnitudes = [lam for lam, _ in nonzero]
+    rank = sum(m for _, m in nonzero)
     return {
         "n": n,
         "constant": constants.scale,
         "max_abs_deviation": deviation,
         "rank": rank,
-        "sv_ratio": ratio,
+        "sv_ratio": min(magnitudes) / max(magnitudes),
         "tol": tol,
-        "passed": bool(deviation <= tol and rank == comb(n + 1, 2)),
+        "passed": bool(deviation <= tol * constants.scale and rank == comb(n + 1, 2)),
     }
 
 

@@ -427,11 +427,11 @@ def test_jacobian_order_limit_checked_before_constants(capsys, monkeypatch):
 
 
 def test_jacobian_over_order_limit_builds_no_jacobian(capsys, monkeypatch):
-    # K(101,2) has order 5050: the limit is checked before 5050 CM inverses of order 100
-    def no_jacobian(spec):
-        raise AssertionError("the Jacobian was built before the order check")
+    # K(101,2) has order 5050: the limit is checked before the face gradient is taken
+    def no_gradient(*args):
+        raise AssertionError("a face gradient was taken before the order check")
 
-    monkeypatch.setattr(jacobian, "analytic_jacobian", no_jacobian)
+    monkeypatch.setattr(jacobian, "_gradients", no_gradient)
     code, out, err = run(capsys, "jacobian", "--n", "100")
     assert code == 2 and out == ""
     assert err.startswith("facevol jacobian:") and "order 5050" in err

@@ -26,7 +26,8 @@ from facevol import (
     verify_regular_point,
     vertices_to_spec,
 )
-from facevol.jacobian import point_jacobian, point_volumes
+from facevol import jacobian, kneser
+from facevol.jacobian import DEFAULT_RANK_THRESHOLD, point_jacobian, point_volumes
 from conftest import perturbed_regular
 
 
@@ -127,6 +128,39 @@ def test_regular_point_identity(n, bound):
     assert report["max_abs_deviation"] <= bound
     assert report["passed"]
     assert report["rank"] == comb(n + 1, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_regular_point_report_matches_full_matrix_oracle(n):
+    # the whole Jacobian against constant * adjacency, and its float SVD
+    report = verify_regular_point(n)
+    jac = analytic_jacobian(regular_simplex(n))
+    pattern = build_kneser_adjacency(n, 2).matrix
+    assert np.abs(jac - report["constant"] * pattern).max() == report["max_abs_deviation"]
+    svals = np.linalg.svd(jac, compute_uv=False)
+    assert int(np.sum(svals > DEFAULT_RANK_THRESHOLD * svals[0])) == report["rank"]
+    assert report["sv_ratio"] == pytest.approx(svals[-1] / svals[0], rel=1e-11, abs=0)
+
+
+def test_regular_point_builds_no_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the regular-point certificate built a full matrix")
+
+    monkeypatch.setattr(jacobian, "analytic_jacobian", no_matrix)
+    monkeypatch.setattr(kneser, "build_kneser_adjacency", no_matrix)
+    monkeypatch.setattr(np.linalg, "svd", no_matrix)
+    for n in range(3, 21):
+        report = verify_regular_point(n)
+        assert report["passed"] and report["rank"] == comb(n + 1, 2)
+
+
+@pytest.mark.parametrize("n, factor", [(13, 0.0), (4, 1 + 1e-6)])
+def test_regular_point_rejects_wrong_gradient(monkeypatch, n, factor):
+    # at n = 13 the constant is below 1e-9, so a zero gradient is within an
+    # absolute tolerance: the check must be relative to the constant
+    gradients = jacobian._gradients
+    monkeypatch.setattr(jacobian, "_gradients", lambda *args: factor * gradients(*args))
+    assert verify_regular_point(n)["passed"] is False
 
 
 def test_euler_identity_regular_n4():
