@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from functools import cache
 from math import inf, sqrt
@@ -25,7 +24,6 @@ import numpy as np
 from . import family, inverse, jacobian, kneser, simplex
 
 SCHEMA_VERSION = "1"
-OUTPUT_DIR_ENV = "FACEVOL_OUTPUT_DIR"
 
 
 def _parse_face(text: str, n: int) -> tuple[int, ...]:
@@ -91,9 +89,6 @@ def _emit(text: str, output_path) -> None:
     if output_path is None:
         sys.stdout.write(text)
         return
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(output_path):
-        output_path = os.path.join(base, output_path)
     with open(output_path, "w") as fh:
         fh.write(text)
 
@@ -179,9 +174,7 @@ def _cmd_invert(args) -> tuple[int, dict]:
     if spec.n < 3:  # at n=2 the target is the vertex volumes, 1 for every start
         raise ValueError(f"dimension must be >= 3 to invert, got n={spec.n}")
     target = simplex.all_face_volumes(spec, spec.n - 2)
-    clusters = inverse.basin_probe(
-        spec.n, target, num_starts=args.starts, seed=args.seed, tol=args.tol
-    )
+    clusters = inverse.basin_probe(target, num_starts=args.starts, seed=args.seed, tol=args.tol)
     report = {
         "n": spec.n,
         "starts": args.starts,

@@ -2,9 +2,8 @@
 
 Determinants come from one Bareiss fraction-free elimination kernel over
 stacks of Python-int matrices, so they are exact for integers and
-Fractions.  Matrix products run in float64 (a BLAS product) or int64 when
-an a-priori bound makes every partial sum an exactly representable integer,
-and in Python ints otherwise.
+Fractions.  Matrix products run in int64 when an a-priori bound keeps every
+partial sum below 2**62, and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from math import lcm, prod
 
 import numpy as np
 
-_FLOAT64_EXACT = 2**53
 _INT64_SAFE = 2**62
 
 
@@ -83,17 +81,12 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two integer matrices, int64 unless it needs Python ints.
 
     The dtype comes from the bound max|a|*max|b|*inner_dim on every partial
-    sum.  Below 2**53 it is float64, a BLAS product: every partial sum is an
-    integer that float64 holds exactly, so the result is exact in any
-    summation order, fused multiply-adds included.  Below 2**62 it is int64,
-    and Python ints above.
+    sum: int64 below 2**62, and Python ints above.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    bound = _amax(a) * _amax(b) * a.shape[1]
-    dtype = np.float64 if bound < _FLOAT64_EXACT else exact_int_dtype(bound)
-    product = a.astype(dtype) @ b.astype(dtype)
-    return product.astype(np.int64) if dtype is np.float64 else product
+    dtype = exact_int_dtype(_amax(a) * _amax(b) * a.shape[1])
+    return a.astype(dtype) @ b.astype(dtype)
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -1,5 +1,6 @@
 """Recover edge lengths from codimension-2 face volumes.
 
+A problem's dimension n is its target's, and its start must be an n-simplex.
 Damped Gauss-Newton on the plain edge lengths: each step solves the
 regularized normal equations, is cut to its longest halving step * 2^-k,
 k <= MAX_HALVINGS, that stays in the realizable region, and is accepted
@@ -9,8 +10,9 @@ of those halvings above STEP_STALL embeds), damping_overflow (the damping
 passed MAX_DAMPING) or max_iters.
 Multi-start probing exposes targets with several preimages, e.g. both
 members of a mirror pair.  Its starts are log-uniform draws, rejection-
-sampled in blocks; realizable_rows' triangle screen rejects most of them
-(about 85%, 97% and 99.5% at n = 4, 5, 6) before any Gram eigenvalue is computed.
+sampled in blocks of START_BLOCK up to MAX_START_DRAWS; realizable_rows'
+triangle screen rejects most of them (about 85%, 97% and 99.5% at n = 4, 5, 6)
+before any Gram eigenvalue is computed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
 START_RANGE = (0.25, 4.0)
 START_BLOCK = 256  # start draws made and tested per batch
+MAX_START_DRAWS = 10000  # draws random_realizable_spec makes before it gives up
+PROBE_MAX_ITERS = 200  # iteration limit of each basin_probe solve
 MAX_HALVINGS = 20  # 1 + 4 + 16 candidates: at most three Gram eigenvalue blocks
 HALVINGS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
 
@@ -46,10 +50,8 @@ class StartDrawError(ValueError):
 
 @dataclass(frozen=True)
 class InverseProblem:
-    n: int
     target: FaceVolumeVector
     start: SimplexSpec
-    damping: float = 0.0  # initial mu; 0 picks 1e-3 * trace(J'J)/dim
     max_iters: int = 100
     tol: float = 1e-10
 
@@ -70,7 +72,7 @@ def _squared(lengths: np.ndarray) -> np.ndarray:
 
 
 def solve(problem: InverseProblem) -> SolveResult:
-    """Damped Gauss-Newton iteration for target = face volumes of dim n-2.
+    """Damped Gauss-Newton iteration for target = face volumes of dim n-2, n = target.n.
 
     The halvings step * 2^-k, k = 0..MAX_HALVINGS, longer than STEP_STALL
     are Gram-tested in blocks of 1, 4, 16 up to the first that embeds; that
@@ -80,13 +82,17 @@ def solve(problem: InverseProblem) -> SolveResult:
     accept ever-deeper halvings at a flat residual.  Every trial point gets
     its face volumes; only the start and accepted trial points get a
     Jacobian, from the same CM stack.  The point is kept as squared
-    lengths; a spec is built only for the solution.
+    lengths; a spec is built only for the solution.  The damping starts at
+    1e-3 * trace(J'J)/dim.  ValueError for a target that is not the (n-2)-face
+    volumes of an n-simplex, or a start of another dimension.
     """
-    n = problem.n
+    n = problem.target.n
     dim = comb(n + 1, 2)
     target = problem.target.vector()
     if problem.target.face_dim != n - 2 or len(target) != dim:
         raise ValueError(f"target must hold the {dim} face volumes of dimension {n - 2}")
+    if problem.start.n != n:
+        raise ValueError(f"start must be a {n}-simplex like the target, got n={problem.start.n}")
 
     lengths = np.sqrt(problem.start.vector())
     squared = _squared(lengths)
@@ -98,7 +104,7 @@ def solve(problem: InverseProblem) -> SolveResult:
     norm = float(np.linalg.norm(values - target))
     trajectory = [norm]
     identity = np.eye(dim)
-    mu = problem.damping
+    mu = 0.0
     iterations = 0
 
     for rounds in range(problem.max_iters + 1):
@@ -160,19 +166,20 @@ def result_to_json(result: SolveResult) -> dict:
     return data
 
 
-def random_realizable_spec(n: int, rng: np.random.Generator, max_tries: int = 10000) -> SimplexSpec:
+def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
     """Squared lengths log-uniform in [0.25, 4], rejected until realizable.
 
     Draws are made and tested START_BLOCK at a time by realizable_rows, whose
     triangle screen spares most an eigvalsh.  On a hit the generator is rewound
     to the block's start and advanced past the accepted draw only, so for any
     block size it ends where a one-draw-at-a-time loop would leave it.
+    StartDrawError when none of MAX_START_DRAWS draws is realizable.
     """
     low, high = np.log(START_RANGE[0]), np.log(START_RANGE[1])
     dim = comb(n + 1, 2)
-    for first in range(0, max_tries, START_BLOCK):
+    for first in range(0, MAX_START_DRAWS, START_BLOCK):
         state = rng.bit_generator.state
-        count = min(START_BLOCK, max_tries - first)
+        count = min(START_BLOCK, MAX_START_DRAWS - first)
         squared = np.exp(rng.uniform(low, high, size=(count, dim)))
         hits = np.flatnonzero(realizable_rows(n, squared))
         if hits.size:
@@ -180,22 +187,18 @@ def random_realizable_spec(n: int, rng: np.random.Generator, max_tries: int = 10
             rng.bit_generator.state = state
             rng.uniform(low, high, size=(row + 1) * dim)
             return SimplexSpec.from_vector(n, squared[row].tolist())
-    raise StartDrawError(f"no realizable start in {max_tries} draws for n={n}")
+    raise StartDrawError(f"no realizable start in {MAX_START_DRAWS} draws for n={n}")
 
 
 def basin_probe(
-    n: int,
-    target: FaceVolumeVector,
-    num_starts: int,
-    seed: int,
-    max_iters: int = 200,
-    tol: float = 1e-10,
+    target: FaceVolumeVector, num_starts: int, seed: int, tol: float = 1e-10
 ) -> list[SolveResult]:
     """Run seeded multi-start solves and cluster the converged solutions.
 
-    Solutions whose sorted squared-length vectors differ by at most 1e-6
-    (sup norm) count as the same preimage; one representative per cluster
-    is returned, in order of first discovery.
+    Each solve runs at most PROBE_MAX_ITERS iterations.  Solutions whose
+    sorted squared-length vectors differ by at most 1e-6 (sup norm) count as
+    the same preimage; one representative per cluster is returned, in order
+    of first discovery.
     """
     if num_starts < 1:
         raise ValueError(f"num_starts must be >= 1, got {num_starts}")
@@ -203,9 +206,9 @@ def basin_probe(
     representatives: list[SolveResult] = []
     signatures: list[np.ndarray] = []
     for _ in range(num_starts):
-        start = random_realizable_spec(n, rng)
+        start = random_realizable_spec(target.n, rng)
         result = solve(
-            InverseProblem(n=n, target=target, start=start, max_iters=max_iters, tol=tol)
+            InverseProblem(target=target, start=start, max_iters=PROBE_MAX_ITERS, tol=tol)
         )
         if not result.converged:
             continue

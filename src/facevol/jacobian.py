@@ -7,7 +7,9 @@ the Cayley-Menger determinant; a central-difference Jacobian serves as an
 independent cross-check.  At the all-unit-edges simplex the Jacobian is a
 known constant times the Kneser adjacency matrix for k=2: by symmetry one
 face's gradient fixes it, and the exact Kneser spectrum certifies its rank
-(hence local algebraic independence of the face volumes).
+(hence local algebraic independence of the face volumes).  From n = 94 on
+that face's squared volume underflows a normal double, and the check is
+refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .simplex import (
     volume_scales,
 )
 
-DEFAULT_RANK_THRESHOLD = 1e-8
+RANK_THRESHOLD = 1e-8  # singular values above this times the largest count toward the rank
 FD_STEP_FACTOR = 1e-6
 
 
@@ -215,8 +217,8 @@ def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
     return jac
 
 
-def jacobian_rank(spec: SimplexSpec, rel_threshold: float = DEFAULT_RANK_THRESHOLD):
-    """Numerical rank and min/max singular value ratio of the Jacobian.
+def jacobian_rank(spec: SimplexSpec):
+    """Numerical rank (RANK_THRESHOLD) and min/max singular value ratio of the Jacobian.
 
     Full rank binomial(n+1,2) certifies local algebraic independence of the
     codimension-2 face volumes at this spec.
@@ -225,7 +227,7 @@ def jacobian_rank(spec: SimplexSpec, rel_threshold: float = DEFAULT_RANK_THRESHO
     largest = float(svals[0])
     if largest == 0.0:
         return 0, 0.0
-    return int(np.sum(svals > rel_threshold * largest)), float(svals[-1]) / largest
+    return int(np.sum(svals > RANK_THRESHOLD * largest)), float(svals[-1]) / largest
 
 
 def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
@@ -235,9 +237,11 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
     [f, e] depends only on how edge e meets the complement pair of face f: it
     is 0 unless they are disjoint (e then lies outside f), and one common value
     otherwise.  So J = scale * A_2, and one face's gradient fixes the value.
-    Checks n, then the Kneser order limit (spectrum_report), then the constants.
-    The certified spectrum of A_2 gives the rank and sv_ratio = min|lam|/max|lam|;
-    passed needs max|gradient - scale| <= tol * scale and full rank.
+    Checks n, then the Kneser order limit (spectrum_report), then the constants,
+    then that the face's squared volume is a normal double: for n >= 94 it
+    underflows (ValueError).  The certified spectrum of A_2 gives the rank and
+    sv_ratio = min|lam|/max|lam|; passed needs max|gradient - scale| <= tol * scale
+    and full rank.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -245,7 +249,12 @@ def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
     constants = regular_point_constants(n)
     face = np.arange(2, n + 1)[None]  # complement key (1, 2), 0-based vertices
     stack = cm_stack(regular_simplex(n).distance_matrix, face)
-    gradient = _gradients(face, stack, cm_squared_volumes(stack), volume_scales(stack))
+    sq = cm_squared_volumes(stack)
+    if sq[0] < np.finfo(float).tiny:
+        raise ValueError(
+            f"squared volume {sq[0]:.3g} of a unit {n - 2}-simplex underflows a normal double"
+        )
+    gradient = _gradients(face, stack, sq, volume_scales(stack))
     deviation = float(np.abs(gradient - constants.scale).max())
     eigenvalues = zip(spectrum["eigenvalues"], spectrum["multiplicities"])
     nonzero = [(abs(lam), m) for lam, m in eigenvalues if lam]

@@ -20,7 +20,7 @@ import numpy as np
 from .exact import exact_matmul, int_determinant, solve_fraction_system
 from .simplex import k_subsets
 
-MAX_ORDER_DEFAULT = 5000
+MAX_ORDER = 5000  # largest Kneser order any function here accepts
 
 
 @dataclass(frozen=True)
@@ -62,30 +62,30 @@ def _intersection_sizes(n: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarr
     return subsets, sum(incidence[:, elements[:, j]] for j in range(k))
 
 
-def kneser_order(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> int:
-    """C(n+1,k), the order of K(n+1,k); ValueError for k outside 1..n+1 or an order past max_order.
+def kneser_order(n: int, k: int) -> int:
+    """C(n+1,k), the order of K(n+1,k); ValueError for k outside 1..n+1 or an order past MAX_ORDER.
 
     C(n+1,i) grows with i up to (n+1)/2 and is built step by step, i = 1..min(k, n+1-k).
-    The build stops once it passes max_order**2 (a larger order is shown as a
+    The build stops once it passes MAX_ORDER**2 (a larger order is shown as a
     lower bound), so an input far past the limit never computes a huge binomial.
     """
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
     steps, order, i = min(k, n + 1 - k), 1, 0
-    while i < steps and order <= max_order**2:
+    while i < steps and order <= MAX_ORDER**2:
         i += 1
         order = order * (n + 2 - i) // i
-    if order > max_order:
+    if order > MAX_ORDER:
         shown = order if i == steps else f"over {order}"
         raise ValueError(
-            f"K({n + 1},{k}) has order {shown}, above the limit of {max_order} vertices"
+            f"K({n + 1},{k}) has order {shown}, above the limit of {MAX_ORDER} vertices"
         )
     return order
 
 
-def build_kneser_adjacency(n: int, k: int, max_order: int = MAX_ORDER_DEFAULT) -> KneserAdjacency:
+def build_kneser_adjacency(n: int, k: int) -> KneserAdjacency:
     """Adjacency matrix of K(n+1,k): entry (E,F) = 1 iff E and F are disjoint."""
-    kneser_order(n, k, max_order)
+    kneser_order(n, k)
     subsets, sizes = _intersection_sizes(n, k)
     return KneserAdjacency(n=n, k=k, subsets=tuple(subsets), matrix=(sizes == 0).astype(np.int64))
 

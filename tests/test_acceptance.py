@@ -129,7 +129,7 @@ def test_criterion_7_inverse_non_uniqueness():
     started = time.perf_counter()
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
-    clusters = basin_probe(4, target, num_starts=50, seed=0)
+    clusters = basin_probe(target, num_starts=50, seed=0)
     assert len(clusters) >= 2
     specials = [float(np.sort(c.solution.vector())[-1]) for c in clusters]
     assert any(abs(s - 1.5) <= 1e-6 for s in specials)
@@ -139,7 +139,7 @@ def test_criterion_7_inverse_non_uniqueness():
     for _ in range(10):
         spec = perturbed_regular(4, rng)
         result = solve(
-            InverseProblem(n=4, target=all_face_volumes(spec, 2), start=spec, tol=1e-12)
+            InverseProblem(target=all_face_volumes(spec, 2), start=spec, tol=1e-12)
         )
         assert result.converged and result.residual_norm <= 1e-12
     elapsed = time.perf_counter() - started

@@ -269,16 +269,6 @@ def test_output_file_matches_stdout(capsys, tmp_path, tri_path):
     assert out_path.read_text() == stdout_text
 
 
-def test_output_dir_environment_variable(capsys, tmp_path, tri_path, monkeypatch):
-    out_dir = tmp_path / "reports"
-    out_dir.mkdir()
-    monkeypatch.setenv("FACEVOL_OUTPUT_DIR", str(out_dir))
-    code = main(["volume", "--input", tri_path, "--output", "report.json"])
-    capsys.readouterr()
-    assert code == 0
-    assert (out_dir / "report.json").exists()
-
-
 def test_usage_error_leaves_no_output_file(capsys, tmp_path):
     out_path = tmp_path / "never.json"
     code = main(["volume", "--input", str(tmp_path / "missing.json"), "--output", str(out_path)])
@@ -436,6 +426,23 @@ def test_jacobian_over_order_limit_builds_no_jacobian(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("facevol jacobian:") and "order 5050" in err
     assert err.count("\n") == 1
+
+
+def test_jacobian_refuses_a_face_volume_that_underflows(capsys):
+    # the unit 91-simplex's squared volume, 2.0e-306, is a normal double; from N = 94 on it is not
+    code, out, err = run(capsys, "jacobian", "--n", "93")
+    assert code == 0 and err == "" and json.loads(out)["passed"] is True
+    code, out, err = run(capsys, "jacobian", "--n", "94")
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol jacobian: squared volume 1.21e-310 of a unit 92-simplex "
+        "underflows a normal double\n"
+    )
+    code, out, err = run(capsys, "jacobian", "--n", "99")
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol jacobian: squared volume 0 of a unit 97-simplex underflows a normal double\n"
+    )
 
 
 def test_parser_reused_after_usage_error(capsys, tri_path):

@@ -194,7 +194,7 @@ def test_exact_matmul_bigint_fallback():
 
 @pytest.fixture
 def int_dtype_calls(monkeypatch):
-    """Record (bound, dtype) of every int64-or-object choice; the float64 path makes none."""
+    """Record (bound, dtype) of every int64-or-object choice."""
     calls = []
     choose = exact.exact_int_dtype
 
@@ -216,7 +216,7 @@ def pinned(rng, shape, amax):
 @pytest.mark.parametrize(
     "inner, amax, bmax, path",
     [
-        (2, 2**26, 2**26 - 1, np.float64),  # bound 2**53 - 2**27
+        (2, 2**26, 2**26 - 1, np.int64),  # bound 2**53 - 2**27
         (2, 2**26, 2**26, np.int64),  # bound exactly 2**53
         (4, 2**30, 2**30 - 1, np.int64),  # bound 2**62 - 2**32
         (4, 2**30, 2**30, object),  # bound exactly 2**62
@@ -226,23 +226,13 @@ def test_exact_matmul_paths_at_their_bounds(int_dtype_calls, inner, amax, bmax, 
     rng = np.random.default_rng(inner + amax + bmax)
     a, b = pinned(rng, (3, inner), amax), pinned(rng, (inner, 5), bmax)
     product = exact_matmul(a, b)
-    assert int_dtype_calls == ([] if path is np.float64 else [(amax * bmax * inner, path)])
+    assert int_dtype_calls == [(amax * bmax * inner, path)]
     assert product.dtype == (object if path is object else np.int64)
     assert product.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
 
 
-def test_exact_matmul_float_path_keeps_odd_sums_near_its_bound(int_dtype_calls):
-    big = 2**26 - 1
-    a = np.array([[2**26, big], [-big, 2**26]])
-    b = np.array([[big, -big], [big, big]])
-    product = exact_matmul(a, b)
-    assert int_dtype_calls == []
-    assert product[0, 0] == big * (2**27 - 1) == 2**53 - 3 * 2**26 + 1  # odd, just below 2**53
-    assert product.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
-
-
 def test_exact_matmul_zero_factor_never_casts_big_entries(int_dtype_calls):
-    # max|b| = 0 must not let a's 2**70 through to a float64 or int64 cast
+    # max|b| = 0 must not let a's 2**70 through to an int64 cast
     a = np.array([[2**70, 1]], dtype=object)
     product = exact_matmul(a, np.zeros((2, 2), dtype=np.int64))
     assert product.tolist() == [[0, 0]]

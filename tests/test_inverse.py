@@ -37,7 +37,7 @@ def test_round_trip_zero_iterations():
         for _ in range(3):
             spec = perturbed_regular(n, rng)
             target = all_face_volumes(spec, n - 2)
-            result = solve(InverseProblem(n=n, target=target, start=spec, tol=1e-12))
+            result = solve(InverseProblem(target=target, start=spec, tol=1e-12))
             assert result.converged
             assert result.iterations <= 1
             assert result.residual_norm <= 1e-12
@@ -46,7 +46,7 @@ def test_round_trip_zero_iterations():
 def test_converges_from_perturbed_start():
     rng = np.random.default_rng(3)
     start = SimplexSpec.from_vector(4, (1 + rng.uniform(-0.01, 0.01, 10)).tolist())
-    result = solve(InverseProblem(n=4, target=regular_target(4), start=start, tol=1e-10))
+    result = solve(InverseProblem(target=regular_target(4), start=start, tol=1e-10))
     assert result.converged
     assert np.abs(result.solution.vector() - 1.0).max() <= 1e-8
 
@@ -59,7 +59,7 @@ def test_recovers_both_preimages_from_nearby_starts():
         squared = np.ones(10)
         squared[special] = t_start
         start = SimplexSpec.from_vector(4, squared.tolist())
-        result = solve(InverseProblem(n=4, target=target, start=start, tol=1e-10))
+        result = solve(InverseProblem(target=target, start=start, tol=1e-10))
         assert result.converged
         assert result.residual_norm <= 1e-10
         assert result.solution.vector()[special] == pytest.approx(t_expected, abs=1e-8)
@@ -68,7 +68,7 @@ def test_recovers_both_preimages_from_nearby_starts():
 def test_zero_target_does_not_converge():
     target = FaceVolumeVector(4, 2, {key: 0.0 for key in k_subsets(4, 2)})
     result = solve(
-        InverseProblem(n=4, target=target, start=regular_simplex(4), max_iters=50)
+        InverseProblem(target=target, start=regular_simplex(4), max_iters=50)
     )
     assert not result.converged
     assert result.stop_reason == "degenerate_face"
@@ -78,29 +78,36 @@ def test_start_must_be_realizable():
     lengths = {pair: 1.0 for pair in lex_pairs(3)}
     lengths[(3, 4)] = 10.0
     with pytest.raises(RealizabilityError):
-        solve(InverseProblem(n=3, target=regular_target(3), start=SimplexSpec(3, lengths)))
+        solve(InverseProblem(target=regular_target(3), start=SimplexSpec(3, lengths)))
 
 
 def test_target_shape_validated():
     with pytest.raises(ValueError):
-        solve(
-            InverseProblem(
-                n=4, target=regular_target(3), start=regular_simplex(4)
-            )
-        )
+        solve(InverseProblem(target=regular_target(3), start=regular_simplex(4)))
+    not_codim_2 = all_face_volumes(regular_simplex(4), 1)
+    with pytest.raises(ValueError, match="target must hold the 10 face volumes of dimension 2"):
+        solve(InverseProblem(target=not_codim_2, start=regular_simplex(4)))
+
+
+@pytest.mark.parametrize("start_n", [3, 5])
+def test_start_of_other_dimension_is_value_error(start_n):
+    # a 3-simplex start used to index past its 6 lengths, a 5-simplex one to fail a broadcast
+    message = f"start must be a 4-simplex like the target, got n={start_n}"
+    with pytest.raises(ValueError, match=message):
+        solve(InverseProblem(target=regular_target(4), start=regular_simplex(start_n)))
 
 
 def test_residual_trajectory_monotone():
     rng = np.random.default_rng(8)
     start = SimplexSpec.from_vector(4, (1 + rng.uniform(-0.2, 0.2, 10)).tolist())
-    result = solve(InverseProblem(n=4, target=regular_target(4), start=start))
+    result = solve(InverseProblem(target=regular_target(4), start=start))
     assert all(b <= a + 1e-15 for a, b in zip(result.trajectory, result.trajectory[1:]))
 
 
 def test_basin_probe_finds_both_mirror_preimages():
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
-    clusters = basin_probe(4, target, num_starts=50, seed=0)
+    clusters = basin_probe(target, num_starts=50, seed=0)
     assert len(clusters) >= 2
     specials = sorted(np.sort(c.solution.vector())[-1] for c in clusters)
     assert any(abs(s - 1.5) <= 1e-6 for s in specials)
@@ -111,27 +118,27 @@ def test_basin_probe_on_other_mirror_target():
     # the target built from the plus instance has the same two preimages
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.plus.spec, 2)
-    clusters = basin_probe(4, target, num_starts=20, seed=2)
+    clusters = basin_probe(target, num_starts=20, seed=2)
     assert len(clusters) >= 2
 
 
 def test_basin_probe_regular_target_single_cluster():
-    clusters = basin_probe(4, regular_target(4), num_starts=20, seed=1)
+    clusters = basin_probe(regular_target(4), num_starts=20, seed=1)
     assert len(clusters) == 1
     assert np.abs(clusters[0].solution.vector() - 1.0).max() <= 1e-6
 
 
 def test_basin_probe_single_start():
-    clusters = basin_probe(4, regular_target(4), num_starts=1, seed=5)
+    clusters = basin_probe(regular_target(4), num_starts=1, seed=5)
     assert len(clusters) <= 1
     with pytest.raises(ValueError):
-        basin_probe(4, regular_target(4), num_starts=0, seed=0)
+        basin_probe(regular_target(4), num_starts=0, seed=0)
 
 
 def test_basin_probe_deterministic():
     target = regular_target(4)
-    first = basin_probe(4, target, num_starts=8, seed=7)
-    second = basin_probe(4, target, num_starts=8, seed=7)
+    first = basin_probe(target, num_starts=8, seed=7)
+    second = basin_probe(target, num_starts=8, seed=7)
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert np.array_equal(a.solution.vector(), b.solution.vector())
@@ -143,7 +150,7 @@ def test_result_serialization():
     from facevol import result_to_json
 
     spec = regular_simplex(4)
-    result = solve(InverseProblem(n=4, target=regular_target(4), start=spec))
+    result = solve(InverseProblem(target=regular_target(4), start=spec))
     data = result_to_json(result)
     assert data["n"] == 4
     assert data["converged"] is True
@@ -201,12 +208,13 @@ def test_random_realizable_spec_matches_reference_loop_at_6(seed, starts):
     assert rng.uniform() == ref_rng.uniform()
 
 
-def test_random_realizable_spec_failure_consumes_max_tries_draws():
+def test_random_realizable_spec_failure_consumes_max_tries_draws(monkeypatch):
     # 300 draws fill one block and part of a second; no draw embeds at n=6
     assert inverse.START_BLOCK < 300 and 300 % inverse.START_BLOCK
+    monkeypatch.setattr(inverse, "MAX_START_DRAWS", 300)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     with pytest.raises(StartDrawError, match="no realizable start in 300 draws"):
-        random_realizable_spec(6, rng, max_tries=300)
+        random_realizable_spec(6, rng)
     with pytest.raises(AssertionError):
         reference_start(6, ref_rng, max_tries=300)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -216,7 +224,7 @@ def test_basin_probe_mirror_target_pinned_counts():
     # cluster count and per-cluster iterations of the minor-per-entry
     # Jacobian implementation; the batched kernel must not change them
     pair = build_pair(4, Fraction(1, 2))
-    clusters = basin_probe(4, all_face_volumes(pair.minus.spec, 2), num_starts=20, seed=0)
+    clusters = basin_probe(all_face_volumes(pair.minus.spec, 2), num_starts=20, seed=0)
     assert [c.iterations for c in clusters] == [6, 7]
     specials = [np.sort(c.solution.vector())[-1] for c in clusters]
     assert specials == pytest.approx([2.5, 1.5], abs=1e-8)
@@ -228,7 +236,7 @@ def reference_solve(problem, max_halvings=None):
     A step is halved at most max_halvings times (None: down to the 1e-15
     stall).  Returns (solution spec, trajectory, iterations, stop reason).
     """
-    n = problem.n
+    n = problem.target.n
     dim = comb(n + 1, 2)
     target = problem.target.vector()
 
@@ -243,7 +251,7 @@ def reference_solve(problem, max_halvings=None):
     spec = SimplexSpec.from_vector(n, np.maximum(lengths**2, 1e-9).tolist())
     values, jac = evaluate(spec)
     norm = float(np.linalg.norm(values - target))
-    trajectory, mu, iterations, stop = [norm], problem.damping, 0, "max_iters"
+    trajectory, mu, iterations, stop = [norm], 0.0, 0, "max_iters"
     bound = inf if max_halvings is None else max_halvings
     for _ in range(problem.max_iters):
         if norm <= problem.tol or jac is None:
@@ -293,7 +301,7 @@ def test_solve_matches_halve_and_retest_reference():
             rng = np.random.default_rng(n)
             for _ in range(10):
                 problem = InverseProblem(
-                    n=n, target=target, start=random_realizable_spec(n, rng), max_iters=200
+                    target=target, start=random_realizable_spec(n, rng), max_iters=200
                 )
                 result = solve(problem)
                 spec, trajectory, iterations, stop = reference_solve(problem, max_halvings=20)
@@ -316,7 +324,7 @@ def test_halving_bound_loses_no_preimage():
             rng = np.random.default_rng(10 * n + index)
             for _ in range(10):
                 problem = InverseProblem(
-                    n=n, target=target, start=random_realizable_spec(n, rng), max_iters=200
+                    target=target, start=random_realizable_spec(n, rng), max_iters=200
                 )
                 result = solve(problem)
                 spec, trajectory, iterations, _ = reference_solve(problem)
@@ -346,7 +354,7 @@ def test_stop_reason_at_iteration_limit():
     target = all_face_volumes(pair.minus.spec, 2)
     start = random_realizable_spec(4, np.random.default_rng(0))
     for max_iters, reason in ((0, "max_iters"), (5, "max_iters"), (6, "converged")):
-        result = solve(InverseProblem(n=4, target=target, start=start, max_iters=max_iters))
+        result = solve(InverseProblem(target=target, start=start, max_iters=max_iters))
         assert result.stop_reason == reason
         assert result.iterations == max_iters
         assert result.converged == (reason == "converged")
@@ -359,7 +367,7 @@ def test_gram_rows_pinned_for_mirror_target(eigvalsh_rows):
     target = all_face_volumes(pair.minus.spec, 2)
     start = random_realizable_spec(4, np.random.default_rng(1))
     eigvalsh_rows.clear()  # the start draw's tests
-    result = solve(InverseProblem(n=4, target=target, start=start))
+    result = solve(InverseProblem(target=target, start=start))
     assert (result.stop_reason, result.iterations) == ("step_stall", 11)
     assert result.gram_rows == sum(eigvalsh_rows) == 205
     assert max(eigvalsh_rows) <= 16  # no block past the third (1 + 4 + 16 = 21 halvings)
@@ -378,7 +386,7 @@ def test_stop_reason_damping_overflow(monkeypatch):
     monkeypatch.setattr(inverse, "point_volumes", worse_after_start)
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
-    result = solve(InverseProblem(n=4, target=target, start=regular_simplex(4)))
+    result = solve(InverseProblem(target=target, start=regular_simplex(4)))
     assert result.stop_reason == "damping_overflow"
     assert result.iterations == 0 and not result.converged
     assert result.trajectory == [result.residual_norm]
@@ -402,7 +410,7 @@ def test_rejected_trials_compute_no_inverse(monkeypatch):
     x = float(family_constants(5).x_max) / 2
     target = all_face_volumes(build_pair(5, x).minus.spec, 3)
     start = random_realizable_spec(5, np.random.default_rng(1))
-    result = solve(InverseProblem(n=5, target=target, start=start))
+    result = solve(InverseProblem(target=target, start=start))
     assert result.converged
     assert calls["volumes"] - 1 - result.iterations == 6  # rejected trials
     assert calls["inv"] == 1 + result.iterations  # the start and each accepted trial

@@ -27,7 +27,7 @@ from facevol import (
     vertices_to_spec,
 )
 from facevol import jacobian, kneser
-from facevol.jacobian import DEFAULT_RANK_THRESHOLD, point_jacobian, point_volumes
+from facevol.jacobian import RANK_THRESHOLD, point_jacobian, point_volumes
 from conftest import perturbed_regular
 
 
@@ -138,7 +138,7 @@ def test_regular_point_report_matches_full_matrix_oracle(n):
     pattern = build_kneser_adjacency(n, 2).matrix
     assert np.abs(jac - report["constant"] * pattern).max() == report["max_abs_deviation"]
     svals = np.linalg.svd(jac, compute_uv=False)
-    assert int(np.sum(svals > DEFAULT_RANK_THRESHOLD * svals[0])) == report["rank"]
+    assert int(np.sum(svals > RANK_THRESHOLD * svals[0])) == report["rank"]
     assert report["sv_ratio"] == pytest.approx(svals[-1] / svals[0], rel=1e-11, abs=0)
 
 

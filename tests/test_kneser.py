@@ -226,14 +226,15 @@ def test_n2_kneser_is_empty_graph():
     assert line_graph_complement_check(2)
 
 
-def test_build_guards():
+def test_build_guards(monkeypatch):
     with pytest.raises(ValueError):
         build_kneser_adjacency(4, 0)
     with pytest.raises(ValueError):
         build_kneser_adjacency(4, 6)
     with pytest.raises(ValueError):
-        build_kneser_adjacency(25, 8)  # order way past the default limit
-    assert build_kneser_adjacency(9, 4, max_order=300).order == 210
+        build_kneser_adjacency(25, 8)  # order way past the limit
+    monkeypatch.setattr(kneser, "MAX_ORDER", 300)
+    assert build_kneser_adjacency(9, 4).order == 210
 
 
 def test_spectrum_report_shape():
@@ -370,11 +371,12 @@ def test_order_limit_checked_before_any_binomial(monkeypatch, n, k, shown):
         spectrum_report(n, k)
 
 
-def test_kneser_order_exact_up_to_limit_squared():
+def test_kneser_order_exact_up_to_limit_squared(monkeypatch):
+    monkeypatch.setattr(kneser, "MAX_ORDER", 500)
     for n, k in RULE_CASES + [(9, 9), (9, 10), (30, 30), (30, 31)]:
-        assert kneser.kneser_order(n, k, max_order=500) == comb(n + 1, k)
+        assert kneser.kneser_order(n, k) == comb(n + 1, k)
     with pytest.raises(ValueError, match="has order 4060, above the limit of 500 "):
-        kneser.kneser_order(29, 27, max_order=500)  # C(30,27) = C(30,3), built in 3 steps
+        kneser.kneser_order(29, 27)  # C(30,27) = C(30,3), built in 3 steps
     # C(1001,i) passes 500**2 at i = 2, so the order is shown as over C(1001,2)
     with pytest.raises(ValueError, match="has order over 500500, above the limit of 500 "):
-        kneser.kneser_order(1000, 400, max_order=500)
+        kneser.kneser_order(1000, 400)
