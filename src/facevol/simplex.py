@@ -232,16 +232,17 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
 
 
 def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Cayley-Menger matrices of many faces at once, shape (faces, m+2, m+2).
+    """Cayley-Menger matrices of many faces at once, shape (..., faces, m+2, m+2).
 
-    `faces` holds one row of m+1 0-based vertex indices per face.  Each
-    matrix has a zero corner, a border of ones in row/column 0, and the
-    face's squared distances, gathered from `distances` by fancy indexing.
+    `faces` holds one row of m+1 0-based vertex indices per face, and leading
+    axes of `distances` are batch axes.  Each matrix has a zero corner, a
+    border of ones in row/column 0, and the face's squared distances,
+    gathered from `distances` by fancy indexing.
     """
     count, size = faces.shape
-    stack = np.ones((count, size + 1, size + 1), dtype=distances.dtype)
-    stack[:, 0, 0] = 0
-    stack[:, 1:, 1:] = distances[faces[:, :, None], faces[:, None, :]]
+    stack = np.ones(distances.shape[:-2] + (count, size + 1, size + 1), dtype=distances.dtype)
+    stack[..., 0, 0] = 0
+    stack[..., 1:, 1:] = distances[..., faces[:, :, None], faces[:, None, :]]
     return stack
 
 
@@ -299,22 +300,45 @@ def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
     return float(_cm_prefactor(stack.shape[-1] - 2)) * np.linalg.det(stack)
 
 
+def exact_cm_determinants(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Determinants of the faces' CM matrices over integer squared distances, negated.
+
+    `distances` holds Python ints (object dtype) and may have leading batch
+    axes; the result has shape (..., faces).  Rows 0 and 1 are swapped up
+    front (the negation), so the zero corner never needs a pivot swap, and
+    every determinant comes from one stacked Bareiss elimination.
+    """
+    stack = cm_stack(distances, faces)
+    stack[..., [0, 1], :] = stack[..., [1, 0], :]
+    shape = stack.shape
+    return bareiss_determinants(stack.reshape(-1, *shape[-2:])).reshape(shape[:-2])
+
+
+def exact_floats(distances: np.ndarray, faces: np.ndarray, scales) -> np.ndarray:
+    """Squared volumes of the faces as floats, over integer squared distances.
+
+    `scales` broadcasts against the result (..., faces): each is the lcm
+    that scaled a spec's squared lengths to integers.  Each value is its
+    determinant in one Python int / int division, which rounds correctly,
+    as float(Fraction) does, so no Fraction is built.
+    """
+    m = faces.shape[1] - 1
+    prefactor = _cm_prefactor(m)
+    dets = exact_cm_determinants(distances, faces)
+    return (dets * -prefactor.numerator / (prefactor.denominator * scales**m)).astype(float)
+
+
 def squared_volumes(spec: SimplexSpec, faces: np.ndarray) -> np.ndarray:
     """Squared volumes of the faces: Fractions for exact specs, floats otherwise.
 
     An exact spec's squared lengths are scaled to integers by the lcm L of
-    their denominators, which scales an order-(m+2) CM determinant by L^m,
-    and every determinant comes from one stacked Bareiss elimination.  Rows
-    0 and 1 are swapped up front (one sign flip), so the zero corner never
-    needs a pivot swap.
+    their denominators, which scales an order-(m+2) CM determinant by L^m.
     """
     if not spec.is_exact:
         return cm_squared_volumes(cm_stack(spec.distance_matrix, faces))
     distances, scale = spec.exact_distances
-    stack = cm_stack(distances, faces)
-    stack[:, [0, 1]] = stack[:, [1, 0]]
     m = faces.shape[1] - 1
-    return bareiss_determinants(stack) * (-_cm_prefactor(m) / scale**m)
+    return exact_cm_determinants(distances, faces) * (-_cm_prefactor(m) / scale**m)
 
 
 def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,8 +347,10 @@ def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     Exact squared volumes are rounded to float only at the end.
     """
     stack = cm_stack(spec.distance_matrix, faces)
-    sq = squared_volumes(spec, faces) if spec.is_exact else cm_squared_volumes(stack)
-    return stack, sq.astype(float)
+    if not spec.is_exact:
+        return stack, cm_squared_volumes(stack)
+    distances, scale = spec.exact_distances
+    return stack, exact_floats(distances, faces, scale)
 
 
 def volume_scales(stack: np.ndarray) -> np.ndarray:

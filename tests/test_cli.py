@@ -227,6 +227,21 @@ def test_counterexample_domain_error(capsys):
     assert code == 2 and "x must lie" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["counterexample", "--n", "1000", "--x", "0.5"], f"family dimension 1000 is above the limit of {family.MAX_N}"),
+    (["counterexample", "--n", "1000", "--t", "1.0"], f"family dimension 1000 is above the limit of {family.MAX_N}"),
+    (["sweep", "--n", "1000"], f"family dimension 1000 is above the limit of {family.MAX_N}"),
+    (["sweep", "--n", "4", "--count", "1000000000"],
+     f"count 1000000000 is above the limit of {family.MAX_SWEEP_COUNT}"),
+])
+def test_family_limits_are_usage_errors(capsys, argv, message):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err == f"facevol {argv[0]}: {message}\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--n", "4", "--count", "3")
     assert code == 0

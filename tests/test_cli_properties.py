@@ -2,7 +2,7 @@
 
 Every argv drawn here parses, so a usage error is the command's own: it
 exits 2 with one stderr line and writes no output file.  `counterexample`
-and `sweep` stay at --n <= 8: they have no dimension bound of their own.
+and `sweep` stay at --n <= 8, far below their limits, to keep examples fast.
 """
 
 import io

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
 
+from facevol import family, simplex
 from facevol import (
+    all_face_volumes,
     build_instance,
     build_pair,
     family_constants,
@@ -232,3 +235,95 @@ def test_sweep_rows():
         assert row["max_facevol_reldiff"] <= 1e-12
         assert row["vol_reldiff"] > 1e-6
         assert row["t_minus"] + row["t_plus"] == pytest.approx(2 * 2.0)
+
+
+def all_faces_report(pair, tol=1e-10):
+    """The mirror-pair report from every codimension-2 face of both instances."""
+    n = pair.n
+    spec_minus = pair.minus.spec
+    spec_plus = pair.plus.spec
+
+    faces_minus = np.sort(all_face_volumes(spec_minus, n - 2).vector())
+    faces_plus = np.sort(all_face_volumes(spec_plus, n - 2).vector())
+    face_reldiff = float(np.max(np.abs(faces_plus - faces_minus) / faces_minus))
+
+    full = tuple(range(1, n + 2))
+    vol_minus = sqrt(float(squared_volume(spec_minus, full)))
+    vol_plus = sqrt(float(squared_volume(spec_plus, full)))
+    vol_reldiff = abs(vol_plus - vol_minus) / vol_minus
+
+    edges_minus = np.sort(spec_minus.vector())
+    edges_plus = np.sort(spec_plus.vector())
+    edge_diff = float(np.max(np.abs(edges_plus - edges_minus)))
+    non_congruent = edge_diff > 1e-12 * float(edges_minus.max())
+
+    return {
+        "n": n,
+        "x": float(pair.x),
+        "t_minus": float(pair.minus.t),
+        "t_plus": float(pair.plus.t),
+        "max_facevol_reldiff": face_reldiff,
+        "vol_minus": vol_minus,
+        "vol_plus": vol_plus,
+        "vol_reldiff": vol_reldiff,
+        "non_congruent": bool(non_congruent),
+        "tol": tol,
+        "passed": bool(face_reldiff <= tol and vol_reldiff > tol and non_congruent),
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_orbit_reports_match_all_faces_oracle(n):
+    x_max = family_constants(n).x_max
+    exact = [Fraction(i, 10) * x_max for i in range(1, 10)]
+    oracles = []
+    for x in exact + [0.5, 0.25, 1e-2, 1e-4, 1e-6]:
+        pair = build_pair(n, x)
+        oracle = json.dumps(all_faces_report(pair))
+        assert json.dumps(pair.report) == oracle, f"n={n}, x={x}"
+        assert json.dumps(verify_pair(pair, tol=1e-12)) == json.dumps(all_faces_report(pair, 1e-12))
+        oracles.append(json.loads(oracle))
+    # the sweep grid i/10 * x_max, i = 1..9, is the exact x above
+    rows = [{column: oracle[column] for column in family.SWEEP_COLUMNS} for oracle in oracles[:9]]
+    assert json.dumps(sweep_rows(n, 9)) == json.dumps(rows)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_orbit_volumes_are_all_face_volumes(n):
+    ts = [Fraction(i, 10) * family_constants(n).t_upper for i in range(1, 10)]
+    for batch in (ts, [float(t) for t in ts]):
+        faces, total_sq = family._instance_volumes(n, batch)
+        for t, row, sq in zip(batch, faces, total_sq.tolist()):
+            spec = build_instance(n, t).spec
+            assert np.array_equal(row, np.sort(all_face_volumes(spec, n - 2).vector())), f"t={t}"
+            assert sq == float(squared_volume(spec, tuple(range(1, n + 2)))), f"t={t}"
+
+
+def test_sweep_rows_takes_two_eliminations_and_builds_no_instance(monkeypatch):
+    calls = []
+    bareiss = simplex.bareiss_determinants
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return bareiss(stack)
+
+    def no_instance(n, t):
+        raise AssertionError("sweep_rows built an instance")
+
+    monkeypatch.setattr(simplex, "bareiss_determinants", counted)
+    monkeypatch.setattr(family, "build_instance", no_instance)
+    rows = sweep_rows(6, count=5)
+    assert len(rows) == 5
+    # 2*5 instances: CM matrices of 3 orbit faces (5 vertices, order 6) each, then the whole
+    assert calls == [(30, 6, 6), (10, 8, 8)]
+
+
+def test_family_limits():
+    family_constants(family.MAX_N)
+    with pytest.raises(ValueError, match="above the limit"):
+        family_constants(family.MAX_N + 1)
+    with pytest.raises(ValueError, match="above the limit"):
+        build_instance(family.MAX_N + 1, 1.0)
+    with pytest.raises(ValueError, match="above the limit"):
+        sweep_rows(4, family.MAX_SWEEP_COUNT + 1)
+    assert len(sweep_rows(4, family.MAX_SWEEP_COUNT)) == family.MAX_SWEEP_COUNT

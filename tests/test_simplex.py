@@ -24,7 +24,7 @@ from facevol import (
     vertices_to_spec,
 )
 from facevol.exact import fraction_determinant
-from facevol.simplex import face_vertices, squared_volumes
+from facevol.simplex import face_stack, face_vertices, squared_volumes
 from conftest import coordinate_volume_sq, perturbed_regular
 
 
@@ -288,6 +288,21 @@ def test_exact_distances_cached_and_read_only():
             prefactor = Fraction((-1) ** (d + 1), 2**d * factorial(d) ** 2)
             assert value == squared_volume(spec, face) == prefactor * fraction_determinant(cm)
     assert spec.exact_distances[0] is distances
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_exact_face_stack_floats_are_the_fractions_rounded(n):
+    # denominators up to 10**6 give squared volumes far from any double;
+    # each float must be float(Fraction), the correctly rounded value
+    rng = np.random.default_rng(31 + n)
+    count = comb(n + 1, 2)
+    pairs = zip(rng.integers(10**6, 2 * 10**6, count).tolist(), rng.integers(10**5, 10**6, count).tolist())
+    spec = SimplexSpec.from_vector(n, [Fraction(p, q) for p, q in pairs])
+    for d in range(n + 1):
+        faces = face_vertices(n, d)
+        _, floats = face_stack(spec, faces)
+        assert floats.dtype == float
+        assert np.array_equal(floats, np.array([float(v) for v in squared_volumes(spec, faces)]))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
