@@ -7,7 +7,6 @@ from .family import (
     build_instance,
     build_pair,
     family_constants,
-    instance_to_json,
     special_face_squared_volume,
     sweep_rows,
     two_value_check,

@@ -155,8 +155,10 @@ def _cmd_spectrum(args) -> tuple[int, dict]:
 
 def _cmd_counterexample(args) -> tuple[int, dict]:
     if args.t is not None:
+        if args.tol is not None:  # one instance has no tolerance to set
+            raise ValueError("argument --tol: not allowed with argument --t")
         instance = family.build_instance(args.n, args.t)
-        regular, special = family.two_value_check(instance, args.tol)
+        regular, special = family.two_value_check(instance)
         report = {
             "n": args.n,
             "t": args.t,
@@ -165,7 +167,7 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
             "realizable": bool(simplex.is_realizable(instance.spec)),
         }
         return 0, report
-    report = family.build_pair(args.n, args.x, args.tol).report
+    report = family.build_pair(args.n, args.x, 1e-10 if args.tol is None else args.tol).report
     return (0 if report["passed"] else 1), report
 
 
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--x", type=float, help="mirror offset of a pair")
     mode.add_argument("--t", type=float, help="parameter of a single instance")
-    p.add_argument("--tol", type=tolerance, default=1e-10)
+    p.add_argument("--tol", type=tolerance, help="--x mode only (default 1e-10)")
 
     p = add("invert", "multi-start inversion of the face-volume map")
     p.add_argument("--input", required=True)

@@ -1,10 +1,12 @@
 """One-parameter simplex family with a single stretched edge.
 
 T(t) is the n-simplex whose edges all have length 1 except one, of squared
-length t.  It is built from a regular (n-2)-simplex of unit side: the two
-remaining vertices sit over the barycenter, each at distance 1 from every
-base vertex, on a circle in the last two coordinates; t is controlled by
-the angle between them.
+length t.  It embeds exactly for 0 < t < 4(1 - c^2), with c the
+circumradius of a regular (n-2)-simplex of unit side: the two remaining
+vertices sit over that base's barycenter, each at distance 1 from every
+base vertex, on a circle of squared radius 1 - c^2, and t is set by the
+angle between them.  The family is handled by its squared lengths alone;
+the tests keep that coordinate construction as an oracle.
 
 Every codimension-2 face volume takes one of two values: faces missing a
 special vertex are regular, faces containing both have squared volume
@@ -12,18 +14,22 @@ quadratic in t.  That quadratic is symmetric about t0 = (n-2)/(n-3), so
 the mirror instances T(t0-x) and T(t0+x) share all codimension-2 face
 volumes while being non-congruent with different total volume.
 
-The mirror-pair reports compute one codimension-2 face per symmetry orbit.
-Permuting the base vertices 1..n-1, or swapping the special vertices n and
-n+1, maps T(t) onto itself, and so maps each codimension-2 face onto one
-of equal volume.  The faces, keyed by their complementary vertex pairs,
-fall into three orbits by how many special vertices the key holds: 2 (the
-base, 1 face), 1 (2(n-1) regular faces) or 0 (C(n-1,2) faces containing
-both special vertices).  Within an orbit the sorted vertex lists even give
-literally the same Cayley-Menger matrix.  So each orbit's volume, repeated
-by the orbit size, gives the same sorted volume vector as all C(n+1,2)
-faces, for exact and for float t alike, and one face per orbit is a proof
-for all of them.  A grid of pairs takes every orbit face from one stacked
-Bareiss elimination and every total volume from a second.
+Every family report sees a face through one kernel, which computes two
+faces per call.  Permuting the base vertices 1..n-1, or swapping the
+special vertices n and n+1, maps T(t) onto itself, and so maps each
+codimension-2 face onto one of equal volume.  The faces, keyed by their
+complementary vertex pairs, fall into three orbits by how many special
+vertices the key holds: 2 (the base, 1 face), 1 (2(n-1) faces) or 0
+(C(n-1,2) faces containing both special vertices).  Within an orbit the
+sorted vertex lists even give literally the same Cayley-Menger matrix, and
+the first two orbits share the regular face's matrix, which holds no t:
+it is the special face of the regular simplex T(1).  So the regular volume
+is computed once per call and the special one once per t; repeated by the
+orbit sizes, they give the same sorted volume vector as all C(n+1,2)
+faces, for exact and for float t alike, and the two faces are a proof for
+all of them.  Exact t take every face from one stacked Bareiss elimination
+and every total volume from a second; float t take one batched
+determinant each.
 """
 
 from __future__ import annotations
@@ -34,19 +40,10 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .simplex import (
-    FaceVolumeVector,
-    SimplexSpec,
-    all_face_volumes,
-    cm_squared_volumes,
-    cm_stack,
-    exact_floats,
-    lex_pairs,
-    spec_to_json,
-)
+from .simplex import SimplexSpec, cm_squared_volumes, cm_stack, exact_floats, lex_pairs
 
 # Largest family dimension and most pairs in one sweep.  The largest sweep
-# they allow, n=30 with 100 pairs, takes about 3 s and 130 MB (2-vCPU VM).
+# they allow, n=30 with 100 pairs, takes 1.2-1.6 s and 73 MB (2-vCPU VM).
 MAX_N = 30
 MAX_SWEEP_COUNT = 100
 
@@ -77,17 +74,17 @@ class FamilyConstants:
         return 4 * (1 - self.c_sq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyInstance:
-    """A concrete T(t): coordinates plus the circle parameters used."""
+    """T(t) in dimension n, given by its parameter, which must lie where T(t) embeds."""
 
     n: int
     t: float | Fraction
-    vertices: np.ndarray
-    p: float
-    q: float
-    r: float
-    s: float
+
+    def __post_init__(self):
+        upper = family_constants(self.n).t_upper
+        if isinstance(self.t, bool) or not 0 < self.t < upper:
+            raise ValueError(f"t must lie in (0, {float(upper)}), got {self.t}")
 
     @property
     def spec(self) -> SimplexSpec:
@@ -141,65 +138,19 @@ def special_face_squared_volume(n: int, t):
 
 
 def build_instance(n: int, t) -> FamilyInstance:
-    """Construct T(t) with the canonical circle parametrization.
+    """T(t); raises ValueError unless t lies in the open interval where it embeds."""
+    return FamilyInstance(n=n, t=t)
 
-    p = sqrt(1-c^2), q = 0; (r,s) is (p,0) rotated by the angle theta with
-    2*(1-c^2)*(1-cos theta) = t, taking s >= 0.
+
+def two_value_check(instance: FamilyInstance) -> tuple[float, float]:
+    """The two codimension-2 face volumes of the instance: (regular, special).
+
+    Regular faces miss a special vertex (2n-1 faces); special faces contain
+    both (C(n-1,2) faces).  An int t counts as exact.
     """
-    constants = family_constants(n)
-    rho_sq = 1 - constants.c_sq
-    if not 0 < t < 4 * rho_sq:
-        raise ValueError(f"t must lie in (0, {float(4 * rho_sq)}), got {t}")
-
-    base = (sqrt(n - 1) + 1) / (sqrt(2) * (n - 2))
-    verts = np.zeros((n + 1, n))
-    verts[0, : n - 2] = base
-    for i in range(1, n - 1):
-        verts[i, i - 1] = 1 / sqrt(2)
-    center = verts[: n - 1].mean(axis=0)
-
-    rho = sqrt(float(rho_sq))
-    cos_theta = 1.0 - float(t) / (2.0 * float(rho_sq))
-    sin_theta = sqrt(max(1.0 - cos_theta**2, 0.0))
-    p, q = rho, 0.0
-    r, s = rho * cos_theta, rho * sin_theta
-
-    verts[n - 1] = center
-    verts[n - 1, n - 2 :] = (p, q)
-    verts[n] = center
-    verts[n, n - 2 :] = (r, s)
-    return FamilyInstance(n=n, t=t, vertices=verts, p=p, q=q, r=r, s=s)
-
-
-def instance_to_json(instance: FamilyInstance) -> dict:
-    """Simplex JSON of the instance plus its coordinate array."""
-    data = spec_to_json(instance.spec)
-    data["vertices"] = [[float(x) for x in row] for row in instance.vertices]
-    return data
-
-
-def _special_keys(fvv: FaceVolumeVector):
-    """Complement keys of faces containing both special vertices n and n+1."""
-    special = {fvv.n, fvv.n + 1}
-    return [key for key in fvv.keys() if not special & set(key)]
-
-
-def two_value_check(instance: FamilyInstance, tol: float = 1e-10):
-    """Split codimension-2 face volumes into (regular, special) common values.
-
-    Raises ValueError if either group spreads wider than tol (relative).
-    """
-    fvv = all_face_volumes(instance.spec, instance.n - 2)
-    special_keys = set(_special_keys(fvv))
-    special = [v for k, v in fvv.values.items() if k in special_keys]
-    regular = [v for k, v in fvv.values.items() if k not in special_keys]
-    for name, group in (("regular", regular), ("special", special)):
-        spread = max(group) - min(group)
-        if spread > tol * max(abs(v) for v in group):
-            raise ValueError(
-                f"{name} face volumes spread by {spread}, more than two values present"
-            )
-    return float(np.mean(regular)), float(np.mean(special))
+    t = Fraction(instance.t) if isinstance(instance.t, int) else instance.t
+    regular, special = _face_volumes(instance.n, [t])
+    return regular, float(special[0])
 
 
 def build_pair(n: int, x, tol: float = 1e-10) -> MirrorPair:
@@ -226,29 +177,41 @@ def verify_pair(pair: MirrorPair, tol: float = 1e-10) -> dict:
     return _pair_reports(pair.n, [pair.x], tol)[0]
 
 
-def _instance_volumes(n: int, ts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted codimension-2 face volumes of T(t), one row per t, and total squared volumes.
+def _squared_volumes(n: int, ts: list, faces: np.ndarray) -> np.ndarray:
+    """Squared volumes of the faces of T(t) as floats, one row per t.
 
-    One face per orbit is computed, the faces keyed by {n, n+1}, {1, n+1}
-    and {1, 2}, and its volume is repeated by the orbit size.  Exact t (all
-    Fractions) take two stacked Bareiss eliminations, float t two batched
-    determinants; both give floats.
+    Exact t (all Fractions) take one stacked Bareiss elimination, float t
+    one batched determinant.
     """
-    faces = np.arange(n - 1) + np.arange(3)[:, None]  # vertices 1..n-1, 2..n, 3..n+1
-    whole = np.arange(n + 1)[None, :]
     off = 1 - np.eye(n + 1, dtype=int)
     if isinstance(ts[0], Fraction):
         scales = np.array([[t.denominator] for t in ts], dtype=object)
         distances = off * scales[:, :, None]
         distances[:, n - 1, n] = distances[:, n, n - 1] = [t.numerator for t in ts]
-        orbit_sq, total_sq = exact_floats(distances, faces, scales), exact_floats(distances, whole, scales)
-    else:
-        distances = off * np.ones((len(ts), 1, 1))
-        distances[:, n - 1, n] = distances[:, n, n - 1] = ts
-        orbit_sq, total_sq = (cm_squared_volumes(cm_stack(distances, faces)),
-                              cm_squared_volumes(cm_stack(distances, whole)))
-    volumes = np.repeat(np.sqrt(orbit_sq), [1, 2 * (n - 1), comb(n - 1, 2)], axis=1)
-    return np.sort(volumes), total_sq[:, 0]
+        return exact_floats(distances, faces, scales)
+    distances = off * np.ones((len(ts), 1, 1))
+    distances[:, n - 1, n] = distances[:, n, n - 1] = ts
+    return cm_squared_volumes(cm_stack(distances, faces))
+
+
+def _face_volumes(n: int, ts: list) -> tuple[float, np.ndarray]:
+    """The regular codimension-2 face volume, and the special one of T(t) per t.
+
+    The special face is vertices 3..n+1; in T(1) it is the regular face.
+    T(t) embeds for every admissible t, so a negative squared volume is
+    round-off of a degenerate face and reads 0.
+    """
+    one = Fraction(1) if isinstance(ts[0], Fraction) else 1.0
+    sq = _squared_volumes(n, [one, *ts], np.arange(2, n + 1)[None, :])[:, 0]
+    volumes = np.sqrt(np.where(sq > 0.0, sq, 0.0))
+    return float(volumes[0]), volumes[1:]
+
+
+def _sorted_face_volumes(n: int, ts: list) -> np.ndarray:
+    """Sorted codimension-2 face volumes of T(t), one row per t: both values repeated by orbit size."""
+    regular, special = _face_volumes(n, ts)
+    both = np.column_stack([np.full(len(ts), regular), special])
+    return np.sort(np.repeat(both, [2 * n - 1, comb(n - 1, 2)], axis=1))
 
 
 def _pair_reports(n: int, xs: list, tol: float) -> list[dict]:
@@ -263,7 +226,8 @@ def _pair_reports(n: int, xs: list, tol: float) -> list[dict]:
     ts = [t0 - x for x in xs] + [t0 + x for x in xs]
     count, size = len(xs), comb(n + 1, 2)
 
-    faces, total_sq = _instance_volumes(n, ts)
+    faces = _sorted_face_volumes(n, ts)
+    total_sq = _squared_volumes(n, ts, np.arange(n + 1)[None, :])[:, 0]
     face_reldiff = np.max(np.abs(faces[count:] - faces[:count]) / faces[:count], axis=1)
     volumes = [sqrt(sq) for sq in total_sq.tolist()]
 

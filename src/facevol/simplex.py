@@ -4,10 +4,11 @@ A simplex on vertices 1..n+1 is described by the squared lengths of its
 binomial(n+1,2) edges.  Squared volumes of faces come from Cayley-Menger
 determinants; when every squared length is an int or Fraction the
 determinant is evaluated exactly, otherwise in floating point.  Each spec
-holds its squared distances as one symmetric matrix; the CM matrices of
-all faces of a dimension are gathered from it into one stack, so the float
-path is a single batched determinant and the exact path a single stacked
-Bareiss elimination.
+holds its squared distances as one symmetric matrix; the matrices of all
+faces of a dimension are gathered from it into one stack, so the float
+path is a single batched determinant of Cayley-Menger matrices and the
+exact path a single stacked Bareiss elimination of doubled Gram matrices,
+two orders smaller.
 
 Faces of dimension d are keyed by their complementary (n-d)-subset of the
 vertex set, in lexicographic order.  That ordering is shared with the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, factorial, isfinite, lcm
+from math import comb, factorial, isfinite, lcm, prod
 from numbers import Integral, Real
 
 import numpy as np
@@ -287,9 +288,15 @@ def squared_volume(spec: SimplexSpec, face):
 
 
 @cache
+def _gram_denominator(m: int) -> int:
+    """2^m (m!)^2, the divisor that turns det H of an m-face into V^2."""
+    return 2**m * factorial(m) ** 2
+
+
+@cache
 def _cm_prefactor(m: int) -> Fraction:
     """(-1)^(m+1) / (2^m (m!)^2), the factor that turns det C into V^2."""
-    return Fraction((-1) ** (m + 1), 2**m * factorial(m) ** 2)
+    return Fraction((-1) ** (m + 1), _gram_denominator(m))
 
 
 def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
@@ -300,18 +307,27 @@ def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
     return float(_cm_prefactor(stack.shape[-1] - 2)) * np.linalg.det(stack)
 
 
-def exact_cm_determinants(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Determinants of the faces' CM matrices over integer squared distances, negated.
+def _doubled_gram(distances: np.ndarray) -> np.ndarray:
+    """2G on the first vertex of a squared-distance matrix (or a stack of them).
+
+    H_ij = D_0i + D_0j - D_ij for i, j >= 1, exact for Python-int entries.
+    """
+    base = distances[..., 0, 1:]
+    return base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:]
+
+
+def exact_gram_determinants(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Determinants of the faces' doubled Gram matrices over integer squared distances.
 
     `distances` holds Python ints (object dtype) and may have leading batch
-    axes; the result has shape (..., faces).  Rows 0 and 1 are swapped up
-    front (the negation), so the zero corner never needs a pivot swap, and
-    every determinant comes from one stacked Bareiss elimination.
+    axes; the result has shape (..., faces).  An m-face's order-m matrix H
+    has det H = (-1)^(m+1) det C = 2^m (m!)^2 V^2 for its order-(m+2)
+    Cayley-Menger matrix C (Blumenthal 1953), and a point's empty H has
+    det 1.  Every determinant comes from one stacked Bareiss elimination.
     """
-    stack = cm_stack(distances, faces)
-    stack[..., [0, 1], :] = stack[..., [1, 0], :]
-    shape = stack.shape
-    return bareiss_determinants(stack.reshape(-1, *shape[-2:])).reshape(shape[:-2])
+    stack = _doubled_gram(distances[..., faces[:, :, None], faces[:, None, :]])
+    batch = stack.shape[:-2]
+    return bareiss_determinants(stack.reshape(prod(batch), *stack.shape[-2:])).reshape(batch)
 
 
 def exact_floats(distances: np.ndarray, faces: np.ndarray, scales) -> np.ndarray:
@@ -323,22 +339,22 @@ def exact_floats(distances: np.ndarray, faces: np.ndarray, scales) -> np.ndarray
     as float(Fraction) does, so no Fraction is built.
     """
     m = faces.shape[1] - 1
-    prefactor = _cm_prefactor(m)
-    dets = exact_cm_determinants(distances, faces)
-    return (dets * -prefactor.numerator / (prefactor.denominator * scales**m)).astype(float)
+    dets = exact_gram_determinants(distances, faces)
+    return (dets / (_gram_denominator(m) * scales**m)).astype(float)
 
 
 def squared_volumes(spec: SimplexSpec, faces: np.ndarray) -> np.ndarray:
     """Squared volumes of the faces: Fractions for exact specs, floats otherwise.
 
     An exact spec's squared lengths are scaled to integers by the lcm L of
-    their denominators, which scales an order-(m+2) CM determinant by L^m.
+    their denominators, which scales an order-m doubled Gram determinant by
+    L^m, so V^2 = det H / (2^m (m!)^2 L^m).
     """
     if not spec.is_exact:
         return cm_squared_volumes(cm_stack(spec.distance_matrix, faces))
     distances, scale = spec.exact_distances
     m = faces.shape[1] - 1
-    return exact_cm_determinants(distances, faces) * (-_cm_prefactor(m) / scale**m)
+    return exact_gram_determinants(distances, faces) * Fraction(1, _gram_denominator(m) * scale**m)
 
 
 def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,8 +403,7 @@ def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.nd
 
 def _gram(distances: np.ndarray) -> np.ndarray:
     """Gram matrix on base vertex 1 of a squared-distance matrix (or a stack of them)."""
-    base = distances[..., 0, 1:]
-    return 0.5 * (base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:])
+    return 0.5 * _doubled_gram(distances)
 
 
 def _gram_and_tolerance(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,55 @@
-from math import factorial
+from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from facevol import SimplexSpec
+from facevol import SimplexSpec, family_constants
 
 
 def perturbed_regular(n: int, rng: np.random.Generator, spread: float = 0.1) -> SimplexSpec:
     """Random realizable spec: unit squared lengths jittered by +-spread."""
     dim = n * (n + 1) // 2
     return SimplexSpec.from_vector(n, (1.0 + rng.uniform(-spread, spread, dim)).tolist())
+
+
+class CircleInstance(NamedTuple):
+    """Coordinates of T(t) and the circle parameters that placed its special vertices."""
+
+    vertices: np.ndarray
+    p: float
+    q: float
+    r: float
+    s: float
+
+
+def circle_instance(n: int, t) -> CircleInstance:
+    """The circle construction of the stretched-edge family T(t), an oracle that it embeds.
+
+    A regular (n-2)-simplex of unit side spans the first n-2 coordinates.
+    Vertices n and n+1 sit over its barycenter, at (p, q) and (r, s) in the
+    last two coordinates: p = sqrt(1-c^2), q = 0, and (r, s) is (p, 0)
+    rotated by the angle theta with 2*(1-c^2)*(1-cos theta) = t, s >= 0.
+    """
+    rho_sq = 1 - family_constants(n).c_sq
+    base = (sqrt(n - 1) + 1) / (sqrt(2) * (n - 2))
+    verts = np.zeros((n + 1, n))
+    verts[0, : n - 2] = base
+    for i in range(1, n - 1):
+        verts[i, i - 1] = 1 / sqrt(2)
+    center = verts[: n - 1].mean(axis=0)
+
+    rho = sqrt(float(rho_sq))
+    cos_theta = 1.0 - float(t) / (2.0 * float(rho_sq))
+    sin_theta = sqrt(max(1.0 - cos_theta**2, 0.0))
+    p, q = rho, 0.0
+    r, s = rho * cos_theta, rho * sin_theta
+
+    verts[n - 1] = center
+    verts[n - 1, n - 2 :] = (p, q)
+    verts[n] = center
+    verts[n, n - 2 :] = (r, s)
+    return CircleInstance(verts, p, q, r, s)
 
 
 def coordinate_volume_sq(points: np.ndarray, face) -> float:

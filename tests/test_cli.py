@@ -207,19 +207,18 @@ def test_counterexample_instance_mode(capsys):
     assert report["value_special"] == pytest.approx(0.5)
 
 
-def test_counterexample_instance_mode_passes_tol(capsys, monkeypatch):
-    seen = []
-    two_value_check = family.two_value_check
+def test_counterexample_tol_sets_pair_tolerance(capsys):
+    _, out, _ = run(capsys, "counterexample", "--n", "4", "--x", "0.5")
+    assert json.loads(out)["tol"] == 1e-10
+    _, out, _ = run(capsys, "counterexample", "--n", "4", "--x", "0.5", "--tol", "1e-3")
+    assert json.loads(out)["tol"] == 1e-3
 
-    def recorded(instance, tol):
-        seen.append(tol)
-        return two_value_check(instance, tol)
 
-    monkeypatch.setattr(family, "two_value_check", recorded)
-    _, default_out, _ = run(capsys, "counterexample", "--n", "4", "--t", "2.0")
-    code, out, _ = run(capsys, "counterexample", "--n", "4", "--t", "2.0", "--tol", "0.5")
-    assert code == 0 and out == default_out
-    assert seen == [1e-10, 0.5]
+def test_counterexample_tol_with_t_is_usage_error(capsys):
+    # one instance has no tolerance: the flag is refused, not dropped
+    code, out, err = run(capsys, "counterexample", "--n", "4", "--t", "2.0", "--tol", "0.5")
+    assert code == 2 and out == ""
+    assert err == "facevol counterexample: argument --tol: not allowed with argument --t\n"
 
 
 def test_counterexample_domain_error(capsys):
@@ -363,7 +362,7 @@ def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, tol):
 
 @pytest.mark.parametrize("argv, tol", [
     (["jacobian", "--n", "4"], None),  # --n mode supplies 1e-9, --input takes none
-    (["counterexample", "--n", "4", "--x", "0.5"], 1e-10),
+    (["counterexample", "--n", "4", "--x", "0.5"], None),  # --x mode supplies 1e-10, --t takes none
     (["invert", "--input", "spec.json"], 1e-10),
     (["sweep", "--n", "4"], 1e-10),
 ])

@@ -1,13 +1,16 @@
-"""Property tests: exact squared volumes obey relabelling and scaling exactly."""
+"""Property tests: exact squared volumes obey relabelling and scaling exactly,
+and their Gram determinants are the Cayley-Menger determinants up to sign."""
 
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facevol import SimplexSpec, relabel
-from facevol.simplex import face_vertices, squared_volumes
+from facevol import SimplexSpec, build_cm_matrix, relabel
+from facevol.exact import int_determinant
+from facevol.simplex import exact_gram_determinants, face_vertices, squared_volumes
 
 EXACT_VALUES = st.one_of(
     st.integers(0, 20), st.fractions(min_value=0, max_value=20, max_denominator=12)
@@ -48,3 +51,21 @@ def test_scaling_multiplies_squared_volumes_by_power(spec, c):
     scaled_volumes = exact_volumes(scaled)
     for face, value in exact_volumes(spec).items():
         assert scaled_volumes[face] == c ** (len(face) - 1) * value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gram_determinants_are_signed_cm_determinants(data):
+    # zero squared lengths give coincident vertices, so degenerate faces come up too
+    spec = data.draw(exact_specs())
+    face = sorted(data.draw(st.sets(st.integers(1, spec.n + 1), min_size=1)))
+    m = len(face) - 1
+    distances, scale = spec.exact_distances
+    det_h = exact_gram_determinants(distances, np.array([face]) - 1)
+    if m == 0:  # a point: empty H, and the CM matrix [[0, 1], [1, 0]]
+        assert det_h.tolist() == [1]
+        return
+    # the CM matrix over the integer squared lengths L*d, its border of ones kept
+    cm = [[int(v * scale) if i and j else int(v) for j, v in enumerate(row)]
+          for i, row in enumerate(build_cm_matrix(spec, face))]
+    assert det_h.tolist() == [(-1) ** (m + 1) * int_determinant(cm)]

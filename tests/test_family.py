@@ -11,9 +11,7 @@ from facevol import (
     build_instance,
     build_pair,
     family_constants,
-    instance_to_json,
     is_realizable,
-    spec_from_json,
     special_face_squared_volume,
     squared_volume,
     sweep_rows,
@@ -21,6 +19,7 @@ from facevol import (
     verify_pair,
     vertices_to_spec,
 )
+from conftest import circle_instance
 
 
 def test_constants_n4():
@@ -58,7 +57,7 @@ def test_constants_domain():
 def test_instance_t1_is_regular():
     instance = build_instance(4, 1)
     assert set(instance.spec.squared_lengths.values()) == {1}
-    roundtrip = vertices_to_spec(instance.vertices)
+    roundtrip = vertices_to_spec(circle_instance(4, 1).vertices)
     assert np.abs(roundtrip.vector() - 1.0).max() <= 1e-14
 
 
@@ -74,14 +73,16 @@ def test_instance_t2_has_one_stretched_edge():
 def test_instance_t_range():
     upper = family_constants(4).t_upper
     assert upper == Fraction(8, 3)
-    for bad in (0, -1, upper, float(upper) + 0.1):
+    for bad in (0, -1, upper, float(upper) + 0.1, float("nan"), True):
         with pytest.raises(ValueError):
             build_instance(4, bad)
+        with pytest.raises(ValueError):  # no instance holds a t where T(t) does not embed
+            family.FamilyInstance(4, bad)
 
 
 def test_instance_circle_parameters():
     c = family_constants(4)
-    instance = build_instance(4, Fraction(3, 2))
+    instance = circle_instance(4, Fraction(3, 2))
     rho_sq = float(1 - c.c_sq)
     assert instance.p**2 + instance.q**2 == pytest.approx(rho_sq, rel=1e-14)
     assert instance.r**2 + instance.s**2 == pytest.approx(rho_sq, rel=1e-14)
@@ -95,8 +96,7 @@ def test_construction_consistency(n):
     c = family_constants(n)
     for frac in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
         t = frac * c.t_upper
-        instance = build_instance(n, t)
-        squared = vertices_to_spec(instance.vertices).squared_lengths
+        squared = vertices_to_spec(circle_instance(n, t).vertices).squared_lengths
         special = squared.pop((n, n + 1))
         assert special == pytest.approx(float(t), rel=1e-12, abs=1e-14)
         assert max(abs(v - 1.0) for v in squared.values()) <= 1e-14
@@ -104,10 +104,10 @@ def test_construction_consistency(n):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_barycenter_distance(n):
-    instance = build_instance(n, 1.25)
-    center = instance.vertices[: n - 1].mean(axis=0)
+    vertices = circle_instance(n, 1.25).vertices
+    center = vertices[: n - 1].mean(axis=0)
     c_sq = float(family_constants(n).c_sq)
-    for vertex in instance.vertices[: n - 1]:
+    for vertex in vertices[: n - 1]:
         diff = vertex - center
         assert float(diff @ diff) == pytest.approx(c_sq, abs=1e-14)
 
@@ -215,13 +215,38 @@ def test_two_value_check_group_sizes():
     assert len({round(v, 12) for v in fvv.values.values()}) == 2
 
 
-def test_instance_export():
-    instance = build_instance(4, Fraction(3, 2))
-    data = instance_to_json(instance)
-    assert data["n"] == 4
-    assert data["squared_lengths"][-1] == "3/2"
-    assert len(data["vertices"]) == 5 and len(data["vertices"][0]) == 4
-    assert spec_from_json(data).edge(4, 5) == Fraction(3, 2)
+@pytest.mark.parametrize("n", range(4, 13))
+def test_two_value_check_matches_all_faces_oracle(n):
+    upper = family_constants(n).t_upper
+    fractions = [Fraction(i, 10) * upper for i in range(1, 10)]
+    # ints 1 and 2 lie below t_upper = 2 + 2/(n-1); an int t counts as exact
+    for t in fractions + [float(t) for t in fractions] + [1, 2]:
+        instance = build_instance(n, t)
+        regular, special = two_value_check(instance)
+        fvv = all_face_volumes(instance.spec, n - 2)
+        special_keys = {k for k in fvv.keys() if not {n, n + 1} & set(k)}
+        regular_group = [v for k, v in fvv.values.items() if k not in special_keys]
+        special_group = [v for k, v in fvv.values.items() if k in special_keys]
+        assert len(regular_group) == 2 * n - 1 and len(special_group) == comb(n - 1, 2)
+        assert set(regular_group) == {regular} and set(special_group) == {special}, f"t={t}"
+        # the group means that two_value_check returned before it took one face per orbit
+        assert float(np.mean(regular_group)) == pytest.approx(regular, rel=1e-15, abs=0)
+        assert float(np.mean(special_group)) == pytest.approx(special, rel=1e-15, abs=0)
+
+
+def test_two_value_check_degenerate_special_face_reads_zero():
+    # at n=6 the float determinant of the special face at tiny t is about -1e-19
+    for t in (5e-324, 1e-16):
+        with np.errstate(all="raise", under="ignore"):
+            regular, special = two_value_check(build_instance(6, t))
+        assert special == 0.0 and regular > 0
+
+
+def test_two_value_check_int_t_is_exact():
+    exact = two_value_check(build_instance(6, Fraction(2)))
+    assert two_value_check(build_instance(6, 2)) == exact
+    assert exact[1] == sqrt(special_face_squared_volume(6, 2))  # 1/48
+    assert two_value_check(build_instance(6, 2.0)) != exact  # the float path rounds
 
 
 def test_sweep_rows():
@@ -292,7 +317,8 @@ def test_orbit_reports_match_all_faces_oracle(n):
 def test_orbit_volumes_are_all_face_volumes(n):
     ts = [Fraction(i, 10) * family_constants(n).t_upper for i in range(1, 10)]
     for batch in (ts, [float(t) for t in ts]):
-        faces, total_sq = family._instance_volumes(n, batch)
+        faces = family._sorted_face_volumes(n, batch)
+        total_sq = family._squared_volumes(n, batch, np.arange(n + 1)[None, :])[:, 0]
         for t, row, sq in zip(batch, faces, total_sq.tolist()):
             spec = build_instance(n, t).spec
             assert np.array_equal(row, np.sort(all_face_volumes(spec, n - 2).vector())), f"t={t}"
@@ -314,8 +340,9 @@ def test_sweep_rows_takes_two_eliminations_and_builds_no_instance(monkeypatch):
     monkeypatch.setattr(family, "build_instance", no_instance)
     rows = sweep_rows(6, count=5)
     assert len(rows) == 5
-    # 2*5 instances: CM matrices of 3 orbit faces (5 vertices, order 6) each, then the whole
-    assert calls == [(30, 6, 6), (10, 8, 8)]
+    # doubled Gram matrices of the regular face and the special face of 2*5 instances
+    # (5 vertices, order 4), then of the 10 whole simplices (7 vertices, order 6)
+    assert calls == [(11, 4, 4), (10, 6, 6)]
 
 
 def test_family_limits():

@@ -25,7 +25,7 @@ from facevol import (
 )
 from facevol.exact import fraction_determinant
 from facevol.simplex import face_stack, face_vertices, squared_volumes
-from conftest import coordinate_volume_sq, perturbed_regular
+from conftest import circle_instance, coordinate_volume_sq, perturbed_regular
 
 
 def test_cm_matrix_345_triangle():
@@ -133,10 +133,11 @@ def test_not_realizable_long_edge():
 
 def test_realizable_stretched_instance_with_rank_oracle():
     instance = build_instance(4, 2)
-    edges = instance.vertices[1:] - instance.vertices[0]
+    vertices = circle_instance(4, 2).vertices
+    edges = vertices[1:] - vertices[0]
     assert np.linalg.matrix_rank(edges) == 4
     assert is_realizable(instance.spec)
-    assert is_realizable(vertices_to_spec(instance.vertices))
+    assert is_realizable(vertices_to_spec(vertices))
 
 
 def test_regular_simplex_entries():
