@@ -145,7 +145,8 @@ def _cmd_jacobian(args) -> tuple[int, dict]:
             "full_rank": bool(rank == full),
         }
         return (0 if rank == full else 1), report
-    report = jacobian.verify_regular_point(args.n, 1e-9 if args.tol is None else args.tol)
+    tol = jacobian.REGULAR_POINT_TOL if args.tol is None else args.tol
+    report = jacobian.verify_regular_point(args.n, tol)
     return (0 if report["passed"] else 1), report
 
 
@@ -167,7 +168,8 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
             "realizable": bool(simplex.is_realizable(instance.spec)),
         }
         return 0, report
-    report = family.build_pair(args.n, args.x, 1e-10 if args.tol is None else args.tol).report
+    tol = family.PAIR_TOL if args.tol is None else args.tol
+    report = family.build_pair(args.n, args.x, tol).report
     return (0 if report["passed"] else 1), report
 
 
@@ -219,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", type=int, help="regular point of dimension N")
     mode.add_argument("--input", help="spec file for a rank certificate")
-    p.add_argument("--tol", type=tolerance, help="--n mode only (default 1e-9)")
+    p.add_argument(
+        "--tol", type=tolerance, help=f"--n mode only (default {jacobian.REGULAR_POINT_TOL})"
+    )
 
     p = add("spectrum", "exact Kneser spectrum certificate")
     p.add_argument("--n", type=int, required=True)
@@ -230,19 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--x", type=float, help="mirror offset of a pair")
     mode.add_argument("--t", type=float, help="parameter of a single instance")
-    p.add_argument("--tol", type=tolerance, help="--x mode only (default 1e-10)")
+    p.add_argument("--tol", type=tolerance, help=f"--x mode only (default {family.PAIR_TOL})")
 
     p = add("invert", "multi-start inversion of the face-volume map")
     p.add_argument("--input", required=True)
     p.add_argument("--starts", type=count, default=20)
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--tol", type=tolerance, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=inverse.SOLVE_TOL)
 
     p = add("sweep", "mirror-pair reports on a grid of offsets")
     p.set_defaults(format="csv")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=count, default=9)
-    p.add_argument("--tol", type=tolerance, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=family.PAIR_TOL)
 
     return parser
 

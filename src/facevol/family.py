@@ -46,6 +46,7 @@ from .simplex import SimplexSpec, cm_squared_volumes, cm_stack, exact_floats, le
 # they allow, n=30 with 100 pairs, takes 1.2-1.6 s and 73 MB (2-vCPU VM).
 MAX_N = 30
 MAX_SWEEP_COUNT = 100
+PAIR_TOL = 1e-10  # default relative tolerance of a mirror-pair report
 
 # verify_pair report keys that make a sweep row, in column order
 SWEEP_COLUMNS = ["n", "x", "t_minus", "t_plus", "max_facevol_reldiff",
@@ -153,7 +154,7 @@ def two_value_check(instance: FamilyInstance) -> tuple[float, float]:
     return regular, float(special[0])
 
 
-def build_pair(n: int, x, tol: float = 1e-10) -> MirrorPair:
+def build_pair(n: int, x, tol: float = PAIR_TOL) -> MirrorPair:
     """Mirror instances at t0 -+ x, with the verification report attached."""
     constants = family_constants(n)
     if not 0 < x < constants.x_max:
@@ -169,7 +170,7 @@ def build_pair(n: int, x, tol: float = 1e-10) -> MirrorPair:
     return pair
 
 
-def verify_pair(pair: MirrorPair, tol: float = 1e-10) -> dict:
+def verify_pair(pair: MirrorPair, tol: float = PAIR_TOL) -> dict:
     """Check equal sorted codimension-2 volumes, unequal edges and volumes.
 
     The pair is the one at offset pair.x; see _pair_reports.
@@ -257,7 +258,7 @@ def _pair_reports(n: int, xs: list, tol: float) -> list[dict]:
     return reports
 
 
-def sweep_rows(n: int, count: int = 9, tol: float = 1e-10) -> list[dict]:
+def sweep_rows(n: int, count: int = 9, tol: float = PAIR_TOL) -> list[dict]:
     """Pair reports on the exact grid x = i/(count+1) * x_max, i = 1..count."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -36,6 +36,7 @@ SQUARED_LENGTH_FLOOR = 1e-9
 STEP_STALL = 1e-15
 MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
+SOLVE_TOL = 1e-10  # default residual norm at which a solve has converged
 START_RANGE = (0.25, 4.0)
 START_BLOCK = 256  # start draws made and tested per batch
 MAX_START_DRAWS = 10000  # draws random_realizable_spec makes before it gives up
@@ -53,7 +54,7 @@ class InverseProblem:
     target: FaceVolumeVector
     start: SimplexSpec
     max_iters: int = 100
-    tol: float = 1e-10
+    tol: float = SOLVE_TOL
 
 
 @dataclass
@@ -191,7 +192,7 @@ def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
 
 
 def basin_probe(
-    target: FaceVolumeVector, num_starts: int, seed: int, tol: float = 1e-10
+    target: FaceVolumeVector, num_starts: int, seed: int, tol: float = SOLVE_TOL
 ) -> list[SolveResult]:
     """Run seeded multi-start solves and cluster the converged solutions.
 

@@ -34,12 +34,12 @@ from .simplex import (
     face_vertices,
     face_volumes,
     is_realizable,
-    regular_simplex,
     squared_distance_matrix,
     volume_scales,
 )
 
 RANK_THRESHOLD = 1e-8  # singular values above this times the largest count toward the rank
+REGULAR_POINT_TOL = 1e-9  # default of verify_regular_point, relative to the constant
 FD_STEP_FACTOR = 1e-6
 
 
@@ -230,25 +230,27 @@ def jacobian_rank(spec: SimplexSpec):
     return int(np.sum(svals > RANK_THRESHOLD * largest)), float(svals[-1]) / largest
 
 
-def verify_regular_point(n: int, tol: float = 1e-9) -> dict:
+def verify_regular_point(n: int, tol: float = REGULAR_POINT_TOL) -> dict:
     """Certify the Jacobian at the all-unit simplex as scale * Kneser(k=2).
 
     Every vertex permutation is an isometry of the regular simplex, so entry
     [f, e] depends only on how edge e meets the complement pair of face f: it
     is 0 unless they are disjoint (e then lies outside f), and one common value
     otherwise.  So J = scale * A_2, and one face's gradient fixes the value.
-    Checks n, then the Kneser order limit (spectrum_report), then the constants,
-    then that the face's squared volume is a normal double: for n >= 94 it
-    underflows (ValueError).  The certified spectrum of A_2 gives the rank and
-    sv_ratio = min|lam|/max|lam|; passed needs max|gradient - scale| <= tol * scale
-    and full rank.
+    That face, keyed by (1, 2), is a unit regular (n-2)-simplex: its
+    Cayley-Menger matrix is J - I of order n, built as it stands, with no
+    spec of the whole simplex.  Checks n, then the Kneser order limit
+    (spectrum_report), then the constants, then that the face's squared
+    volume is a normal double: for n >= 94 it underflows (ValueError).  The
+    certified spectrum of A_2 gives the rank and sv_ratio = min|lam|/max|lam|;
+    passed needs max|gradient - scale| <= tol * scale and full rank.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     spectrum = spectrum_report(n, 2)
     constants = regular_point_constants(n)
     face = np.arange(2, n + 1)[None]  # complement key (1, 2), 0-based vertices
-    stack = cm_stack(regular_simplex(n).distance_matrix, face)
+    stack = (1.0 - np.eye(n))[None]
     sq = cm_squared_volumes(stack)
     if sq[0] < np.finfo(float).tiny:
         raise ValueError(

@@ -207,8 +207,6 @@ class RealizabilityCertificate:
 
 def regular_simplex(n: int) -> SimplexSpec:
     """All squared edge lengths equal to 1 (exact)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return SimplexSpec(n, {pair: 1 for pair in lex_pairs(n)})
 
 
@@ -377,21 +375,17 @@ def volume_scales(stack: np.ndarray) -> np.ndarray:
     """
     m = stack.shape[-1] - 2
     qmax = np.maximum(stack[:, 1:, 1:].max(axis=(1, 2)), 1.0)
-    return qmax**m / (2**m * factorial(m) ** 2)
-
-
-def _negative_faces(sq: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Mask of the faces whose squared volume is negative beyond round-off."""
-    return sq < -ZERO_VOLUME_REL_TOL * scales
+    return qmax**m / _gram_denominator(m)
 
 
 def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Volumes of the faces from their squared volumes and volume_scales.
 
-    Degenerate faces get 0.  Raises RealizabilityError at the first face
-    whose squared volume is negative beyond round-off.
+    Degenerate faces get 0.  Raises RealizabilityError at the first face, in
+    the order of `faces`, whose squared volume is negative beyond round-off;
+    the error's `face` names it.
     """
-    negative = _negative_faces(sq, scales)
+    negative = sq < -ZERO_VOLUME_REL_TOL * scales
     if negative.any():
         index = int(np.argmax(negative))
         face = tuple((faces[index] + 1).tolist())
@@ -401,14 +395,9 @@ def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.nd
     return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
-def _gram(distances: np.ndarray) -> np.ndarray:
-    """Gram matrix on base vertex 1 of a squared-distance matrix (or a stack of them)."""
-    return 0.5 * _doubled_gram(distances)
-
-
 def _gram_and_tolerance(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of squared-distance matrices and the eigenvalue tolerance of each."""
-    g = _gram(distances)
+    g = 0.5 * _doubled_gram(distances)
     trace = g.trace(0, -2, -1)  # offset 0 over the last two axes
     return g, REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
 
@@ -493,34 +482,30 @@ def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
     return None, len(rows)
 
 
-def _first_negative_face(spec: SimplexSpec):
-    """Smallest (then lexicographically first) face with negative squared volume."""
-    n = spec.n
-    for face_dim in range(2, n + 1):
-        faces = face_vertices(n, face_dim)
-        stack, sq = face_stack(spec, faces)
-        negative = _negative_faces(sq, volume_scales(stack))
-        if negative.any():
-            return min(tuple(face) for face in (faces[negative] + 1).tolist())
-    return tuple(range(1, n + 2))
-
-
 def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
     """Volumes of every dimension-`face_dim` face, keyed by complement subsets.
 
-    Raises RealizabilityError (carrying an offending face) if the spec does
-    not embed.  Degenerate faces get volume exactly 0.
+    Only the requested faces are computed.  If the spec does not embed
+    (is_realizable), RealizabilityError "spec is not realizable" is raised;
+    its `face` is the first requested face with negative squared volume, in
+    complement-key order, as face_volumes names it, or else the whole
+    simplex, whose Gram test failed.  Degenerate faces get volume exactly 0.
     """
     n = spec.n
     if not 0 <= face_dim <= n:
         raise ValueError(f"face_dim must be in 0..{n}, got {face_dim}")
-    if not is_realizable(spec):
-        raise RealizabilityError(
-            "spec is not realizable", face=_first_negative_face(spec)
-        )
+    realizable = is_realizable(spec)
     faces = face_vertices(n, face_dim)
     stack, sq = face_stack(spec, faces)
-    values = face_volumes(faces, sq, volume_scales(stack))
+    face = tuple(range(1, n + 2))
+    try:
+        values = face_volumes(faces, sq, volume_scales(stack))
+    except RealizabilityError as exc:
+        if realizable:
+            raise
+        face = exc.face
+    if not realizable:
+        raise RealizabilityError("spec is not realizable", face=face)
     return FaceVolumeVector(
         n=n, face_dim=face_dim, values=dict(zip(k_subsets(n, n - face_dim), values.tolist()))
     )

@@ -1,16 +1,29 @@
+from fractions import Fraction
 from math import factorial, sqrt
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from facevol import SimplexSpec, family_constants
+from facevol import SimplexSpec, family_constants, lex_pairs
 
 
 def perturbed_regular(n: int, rng: np.random.Generator, spread: float = 0.1) -> SimplexSpec:
     """Random realizable spec: unit squared lengths jittered by +-spread."""
     dim = n * (n + 1) // 2
     return SimplexSpec.from_vector(n, (1.0 + rng.uniform(-spread, spread, dim)).tolist())
+
+
+def whole_only_spec(n: int, exact: bool = False) -> SimplexSpec:
+    """T(t) with t midway between 2n/(n-1) and 2(n-1)/(n-2): only the whole simplex fails to embed.
+
+    T(t) embeds for t < 2n/(n-1), its facets through the stretched edge for
+    t < 2(n-1)/(n-2), so every proper face embeds and the Gram test fails.
+    """
+    t = (Fraction(2 * n, n - 1) + Fraction(2 * (n - 1), n - 2)) / 2
+    lengths = {pair: 1 for pair in lex_pairs(n)}
+    lengths[(n, n + 1)] = t if exact else float(t)
+    return SimplexSpec(n, lengths)
 
 
 class CircleInstance(NamedTuple):

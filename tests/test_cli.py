@@ -6,6 +6,7 @@ import pytest
 
 from facevol import SpectrumSpec, family, jacobian, kneser, simplex
 from facevol.cli import build_parser, main
+from conftest import whole_only_spec
 
 
 def run(capsys, *argv):
@@ -288,6 +289,18 @@ def test_usage_error_leaves_no_output_file(capsys, tmp_path):
     code = main(["volume", "--input", str(tmp_path / "missing.json"), "--output", str(out_path)])
     capsys.readouterr()
     assert code == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["faces", "--face-dim", "16"], ["invert"]])
+def test_whole_only_failure_is_one_line_usage_error(capsys, tmp_path, argv):
+    # n = 18: all 18 face dimensions would take seconds and hundreds of MB
+    path = tmp_path / "whole18.json"
+    simplex.save_spec(whole_only_spec(18), path)
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, *argv, "--input", str(path), "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"facevol {argv[0]}: spec is not realizable\n"
     assert not out_path.exists()
 
 

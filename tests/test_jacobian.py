@@ -154,6 +154,17 @@ def test_regular_point_builds_no_matrix(monkeypatch):
         assert report["passed"] and report["rank"] == comb(n + 1, 2)
 
 
+def test_regular_point_builds_no_spec(monkeypatch):
+    expected = {n: verify_regular_point(n) for n in (3, 10, 93)}
+
+    def no_spec(self):
+        raise AssertionError("the regular-point certificate built a SimplexSpec")
+
+    monkeypatch.setattr(SimplexSpec, "__post_init__", no_spec)
+    for n, report in expected.items():
+        assert verify_regular_point(n) == report and report["passed"]
+
+
 @pytest.mark.parametrize("n, factor", [(13, 0.0), (4, 1 + 1e-6)])
 def test_regular_point_rejects_wrong_gradient(monkeypatch, n, factor):
     # at n = 13 the constant is below 1e-9, so a zero gradient is within an

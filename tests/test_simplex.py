@@ -24,8 +24,9 @@ from facevol import (
     vertices_to_spec,
 )
 from facevol.exact import fraction_determinant
+from facevol import simplex
 from facevol.simplex import face_stack, face_vertices, squared_volumes
-from conftest import circle_instance, coordinate_volume_sq, perturbed_regular
+from conftest import circle_instance, coordinate_volume_sq, perturbed_regular, whole_only_spec
 
 
 def test_cm_matrix_345_triangle():
@@ -129,6 +130,29 @@ def test_not_realizable_long_edge():
     with pytest.raises(RealizabilityError) as excinfo:
         all_face_volumes(spec, 1)
     assert set(excinfo.value.face) >= {3, 4}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_whole_only_failure_computes_only_the_requested_faces(monkeypatch, exact):
+    n = 12
+    spec = whole_only_spec(n, exact)
+    calls = []
+    stack = simplex.face_stack
+    monkeypatch.setattr(simplex, "face_stack", lambda *args: calls.append(1) or stack(*args))
+    with pytest.raises(RealizabilityError, match="^spec is not realizable$") as excinfo:
+        all_face_volumes(spec, n - 2)
+    assert excinfo.value.face == tuple(range(1, n + 2))
+    assert len(calls) == 1
+
+
+def test_not_realizable_names_the_first_negative_requested_face():
+    # edge 12 breaks every triangle 12k; in complement-key order (3,4) < (3,5)
+    # < (4,5) the first of them is the one with complement {3, 4}
+    lengths = {pair: 1.0 for pair in lex_pairs(4)}
+    lengths[(1, 2)] = 10.0
+    with pytest.raises(RealizabilityError, match="^spec is not realizable$") as excinfo:
+        all_face_volumes(SimplexSpec(4, lengths), 2)
+    assert excinfo.value.face == (1, 2, 5)
 
 
 def test_realizable_stretched_instance_with_rank_oracle():
