@@ -46,10 +46,6 @@ FD_STEP_FACTOR = 1e-6
 class DegenerateFaceError(ValueError):
     """A face has zero volume, so the volume derivative is undefined."""
 
-    def __init__(self, message, face=None):
-        super().__init__(message)
-        self.face = face
-
 
 class BoundaryError(ValueError):
     """A finite-difference perturbation left the realizable region."""
@@ -109,12 +105,13 @@ def _gradients(
     face's CM matrix C.  The adjugate gives cof_e = det(C) (C^-1)_ab, and
     s_m det(C) = V^2, so dV/dl_e = 2 V l_e (C^-1)_ab: one batched inverse
     replaces a minor per entry.  Raises DegenerateFaceError at the first
-    face with zero volume, judged against the faces' volume_scales.
+    face with zero volume, judged against the faces' volume_scales; the
+    message names the face's vertices.
     """
     degenerate = sq <= ZERO_VOLUME_REL_TOL * scales
     if degenerate.any():
         face = tuple((faces[int(np.argmax(degenerate))] + 1).tolist())
-        raise DegenerateFaceError(f"face {face} is degenerate", face=face)
+        raise DegenerateFaceError(f"face {face} is degenerate")
     a, b = _edge_positions(faces.shape[1])
     inverse = np.linalg.inv(stack)
     return 2.0 * np.sqrt(sq)[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]

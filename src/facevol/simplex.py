@@ -33,14 +33,11 @@ from .exact import bareiss_determinants
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
 TRIANGLE_SCREEN_MARGIN = 3e-8  # relative to (n+1) * a row's largest squared length
 ZERO_VOLUME_REL_TOL = 1e-12
+MAX_FACES = 50_000  # most faces all_face_volumes computes in one call
 
 
 class RealizabilityError(ValueError):
     """Distance data does not embed in Euclidean space."""
-
-    def __init__(self, message, face=None):
-        super().__init__(message)
-        self.face = face
 
 
 def lex_pairs(n: int) -> list[tuple[int, int]]:
@@ -291,18 +288,15 @@ def _gram_denominator(m: int) -> int:
     return 2**m * factorial(m) ** 2
 
 
-@cache
-def _cm_prefactor(m: int) -> Fraction:
-    """(-1)^(m+1) / (2^m (m!)^2), the factor that turns det C into V^2."""
-    return Fraction((-1) ** (m + 1), _gram_denominator(m))
-
-
 def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
     """Squared volumes of the faces of a float CM stack, from one batched det.
 
-    A point's matrix [[0, 1], [1, 0]] gives 1, the m=0 convention.
+    V^2 = (-1)^(m+1) / (2^m (m!)^2) * det C; the int division rounds the
+    prefactor correctly.  A point's matrix [[0, 1], [1, 0]] gives 1, the
+    m=0 convention.
     """
-    return float(_cm_prefactor(stack.shape[-1] - 2)) * np.linalg.det(stack)
+    m = stack.shape[-1] - 2
+    return (-1) ** (m + 1) / _gram_denominator(m) * np.linalg.det(stack)
 
 
 def _doubled_gram(distances: np.ndarray) -> np.ndarray:
@@ -383,15 +377,13 @@ def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.nd
 
     Degenerate faces get 0.  Raises RealizabilityError at the first face, in
     the order of `faces`, whose squared volume is negative beyond round-off;
-    the error's `face` names it.
+    the message names the face's vertices.
     """
     negative = sq < -ZERO_VOLUME_REL_TOL * scales
     if negative.any():
         index = int(np.argmax(negative))
         face = tuple((faces[index] + 1).tolist())
-        raise RealizabilityError(
-            f"face {face} has negative squared volume {float(sq[index])}", face=face
-        )
+        raise RealizabilityError(f"face {face} has negative squared volume {float(sq[index])}")
     return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
@@ -485,27 +477,28 @@ def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
 def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
     """Volumes of every dimension-`face_dim` face, keyed by complement subsets.
 
-    Only the requested faces are computed.  If the spec does not embed
-    (is_realizable), RealizabilityError "spec is not realizable" is raised;
-    its `face` is the first requested face with negative squared volume, in
-    complement-key order, as face_volumes names it, or else the whole
-    simplex, whose Gram test failed.  Degenerate faces get volume exactly 0.
+    Checks the range of face_dim, then that the C(n+1, face_dim+1) faces
+    are at most MAX_FACES (ValueError), then the Gram test: a spec that does
+    not embed (is_realizable) raises RealizabilityError "spec is not
+    realizable" before any face is computed.  Only the requested faces are
+    computed; a face with negative squared volume beyond round-off, which the
+    Gram test let pass, raises as face_volumes does.  Degenerate faces get
+    volume exactly 0.
     """
     n = spec.n
     if not 0 <= face_dim <= n:
         raise ValueError(f"face_dim must be in 0..{n}, got {face_dim}")
-    realizable = is_realizable(spec)
+    count = comb(n + 1, face_dim + 1)
+    if count > MAX_FACES:
+        raise ValueError(
+            f"the {n}-simplex has {count} faces of dimension {face_dim}, "
+            f"above the limit of {MAX_FACES}"
+        )
+    if not is_realizable(spec):
+        raise RealizabilityError("spec is not realizable")
     faces = face_vertices(n, face_dim)
     stack, sq = face_stack(spec, faces)
-    face = tuple(range(1, n + 2))
-    try:
-        values = face_volumes(faces, sq, volume_scales(stack))
-    except RealizabilityError as exc:
-        if realizable:
-            raise
-        face = exc.face
-    if not realizable:
-        raise RealizabilityError("spec is not realizable", face=face)
+    values = face_volumes(faces, sq, volume_scales(stack))
     return FaceVolumeVector(
         n=n, face_dim=face_dim, values=dict(zip(k_subsets(n, n - face_dim), values.tolist()))
     )

@@ -304,6 +304,28 @@ def test_whole_only_failure_is_one_line_usage_error(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+def test_negative_face_that_passes_the_gram_test_is_one_line_usage_error(capsys, tmp_path):
+    # the unit square as a flat tetrahedron, its diagonal 24 stretched by 1e-10
+    payload = {"n": 3, "squared_lengths": [1, 2, 1, 1, 2 + 1e-10, 1]}
+    path = write_spec(tmp_path, "flat.json", payload)
+    code, out, err = run(capsys, "faces", "--input", path, "--face-dim", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("facevol faces: face (1, 2, 3, 4) has negative squared volume -")
+    assert err.count("\n") == 1
+
+
+def test_face_count_limit_is_one_line_usage_error(capsys, tmp_path):
+    path = write_spec(tmp_path, "reg18.json", {"n": 18, "squared_lengths": [1] * 171})
+    out_path = tmp_path / "never.json"
+    argv = ["faces", "--input", path, "--face-dim", "9", "--output", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol faces: the 18-simplex has 92378 faces of dimension 9, above the limit of 50000\n"
+    )
+    assert not out_path.exists()
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     out_path = tmp_path / "no-such-dir" / "x.json"
     code, out, err = run(capsys, "spectrum", "--n", "4", "--k", "2", "--output", str(out_path))

@@ -127,9 +127,8 @@ def test_not_realizable_long_edge():
     lengths[(3, 4)] = 10.0
     spec = SimplexSpec(3, lengths)
     assert not is_realizable(spec)
-    with pytest.raises(RealizabilityError) as excinfo:
+    with pytest.raises(RealizabilityError, match="^spec is not realizable$"):
         all_face_volumes(spec, 1)
-    assert set(excinfo.value.face) >= {3, 4}
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -139,20 +138,37 @@ def test_whole_only_failure_computes_only_the_requested_faces(monkeypatch, exact
     calls = []
     stack = simplex.face_stack
     monkeypatch.setattr(simplex, "face_stack", lambda *args: calls.append(1) or stack(*args))
-    with pytest.raises(RealizabilityError, match="^spec is not realizable$") as excinfo:
+    with pytest.raises(RealizabilityError, match="^spec is not realizable$"):
         all_face_volumes(spec, n - 2)
-    assert excinfo.value.face == tuple(range(1, n + 2))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
-def test_not_realizable_names_the_first_negative_requested_face():
-    # edge 12 breaks every triangle 12k; in complement-key order (3,4) < (3,5)
-    # < (4,5) the first of them is the one with complement {3, 4}
-    lengths = {pair: 1.0 for pair in lex_pairs(4)}
-    lengths[(1, 2)] = 10.0
-    with pytest.raises(RealizabilityError, match="^spec is not realizable$") as excinfo:
-        all_face_volumes(SimplexSpec(4, lengths), 2)
-    assert excinfo.value.face == (1, 2, 5)
+def test_negative_face_that_passes_the_gram_test_is_named():
+    # the unit square as a flat tetrahedron, its diagonal 24 stretched by 1e-10:
+    # the Gram test passes within its tolerance, the whole face does not
+    spec = SimplexSpec.from_vector(3, [1, 2, 1, 1, 2 + 1e-10, 1])
+    assert is_realizable(spec)
+    message = r"^face \(1, 2, 3, 4\) has negative squared volume -"
+    with pytest.raises(RealizabilityError, match=message):
+        all_face_volumes(spec, 3)
+
+
+def test_face_count_limit_is_checked_before_the_gram_test(monkeypatch):
+    calls = []
+    realizable = simplex.is_realizable
+    monkeypatch.setattr(simplex, "is_realizable", lambda spec: calls.append(1) or realizable(spec))
+    message = "^the 18-simplex has 92378 faces of dimension 9, above the limit of 50000$"
+    with pytest.raises(ValueError, match=message):
+        all_face_volumes(whole_only_spec(18), 9)
+    assert calls == []
+
+
+def test_face_count_limit_boundary(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_FACES", 10)
+    assert len(all_face_volumes(regular_simplex(4), 2)) == 10
+    message = "^the 5-simplex has 15 faces of dimension 1, above the limit of 10$"
+    with pytest.raises(ValueError, match=message):
+        all_face_volumes(regular_simplex(5), 1)
 
 
 def test_realizable_stretched_instance_with_rank_oracle():
