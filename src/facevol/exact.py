@@ -2,8 +2,9 @@
 
 Determinants come from one Bareiss fraction-free elimination kernel over
 stacks of Python-int matrices, so they are exact for integers and
-Fractions.  Matrix products run in int64 when an a-priori bound keeps every
-partial sum below 2**62, and in Python ints otherwise.
+Fractions, and linear systems are solved by Cramer's rule on that kernel.
+Matrix products run in int64 when an a-priori bound keeps every partial
+sum below 2**62, and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -90,21 +91,16 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a small square linear system exactly by Gaussian elimination.
+    """Solve a small square linear system exactly by Cramer's rule.
 
-    Raises ValueError if the matrix is singular.
+    Every determinant is a fraction_determinant, so the elimination is the
+    Bareiss kernel's.  Raises ValueError if the matrix is singular.
     """
-    n = len(b)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular system")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    det = fraction_determinant(a)
+    if det == 0:
+        raise ValueError("singular system")
+    columns = list(zip(*a))
+    return [
+        fraction_determinant(list(zip(*columns[:i], b, *columns[i + 1 :]))) / det
+        for i in range(len(b))
+    ]

@@ -36,11 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
-from .simplex import SimplexSpec, cm_squared_volumes, cm_stack, exact_floats, lex_pairs
+from .simplex import (
+    SimplexSpec, _gram_denominator, cm_squared_volumes, cm_stack, exact_floats, lex_pairs,
+)
 
 # Largest family dimension and most pairs in one sweep.  The largest sweep
 # they allow, n=30 with 100 pairs, takes 1.2-1.6 s and 73 MB (2-vCPU VM).
@@ -111,7 +113,7 @@ def family_constants(n: int) -> FamilyConstants:
         raise ValueError(f"family needs n >= 4 (t0 is undefined at n=3), got {n}")
     if n > MAX_N:
         raise ValueError(f"family dimension {n} is above the limit of {MAX_N}")
-    denom = 2 ** (n - 2) * factorial(n - 2) ** 2
+    denom = _gram_denominator(n - 2)
     return FamilyConstants(
         n=n,
         c_sq=Fraction(1, 2) - Fraction(1, 2 * (n - 1)),
@@ -132,7 +134,7 @@ def special_face_squared_volume(n: int, t):
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     poly = (3 - n) * t * t + (2 * n - 4) * t
-    denom = 2 ** (n - 2) * factorial(n - 2) ** 2
+    denom = _gram_denominator(n - 2)
     if isinstance(poly, (int, Fraction)):
         return Fraction(poly, denom)
     return poly / denom

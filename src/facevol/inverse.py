@@ -10,9 +10,9 @@ of those halvings above STEP_STALL embeds), damping_overflow (the damping
 passed MAX_DAMPING) or max_iters.
 Multi-start probing exposes targets with several preimages, e.g. both
 members of a mirror pair.  Its starts are log-uniform draws, rejection-
-sampled in blocks of START_BLOCK up to MAX_START_DRAWS; realizable_rows'
-triangle screen rejects most of them (about 85%, 97% and 99.5% at n = 4, 5, 6)
-before any Gram eigenvalue is computed.
+sampled in blocks of START_BLOCK up to MAX_START_DRAWS; the simplex
+module's triangle_screen rejects most of them (about 85%, 97% and 99.5% at
+n = 4, 5, 6) before first_realizable computes any Gram eigenvalue.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     first_realizable,
-    realizable_rows,
     spec_to_json,
+    triangle_screen,
 )
 
 SQUARED_LENGTH_FLOOR = 1e-9
@@ -97,7 +97,7 @@ def solve(problem: InverseProblem) -> SolveResult:
 
     lengths = np.sqrt(problem.start.vector())
     squared = _squared(lengths)
-    if not realizable_rows(n, squared):
+    if first_realizable(n, squared[None])[0] is None:
         raise RealizabilityError("start spec is not realizable")
     gram_rows = 1
     values, cm = point_volumes(n, squared)
@@ -170,10 +170,11 @@ def result_to_json(result: SolveResult) -> dict:
 def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
     """Squared lengths log-uniform in [0.25, 4], rejected until realizable.
 
-    Draws are made and tested START_BLOCK at a time by realizable_rows, whose
-    triangle screen spares most an eigvalsh.  On a hit the generator is rewound
-    to the block's start and advanced past the accepted draw only, so for any
-    block size it ends where a one-draw-at-a-time loop would leave it.
+    Draws are made START_BLOCK at a time; the first that passes
+    triangle_screen, which spares most an eigvalsh, and then first_realizable
+    is accepted.  On a hit the generator is rewound to the block's start and
+    advanced past the accepted draw only, so for any block size it ends
+    where a one-draw-at-a-time loop would leave it.
     StartDrawError when none of MAX_START_DRAWS draws is realizable.
     """
     low, high = np.log(START_RANGE[0]), np.log(START_RANGE[1])
@@ -182,9 +183,10 @@ def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
         state = rng.bit_generator.state
         count = min(START_BLOCK, MAX_START_DRAWS - first)
         squared = np.exp(rng.uniform(low, high, size=(count, dim)))
-        hits = np.flatnonzero(realizable_rows(n, squared))
-        if hits.size:
-            row = int(hits[0])
+        screened = np.flatnonzero(triangle_screen(n, squared))
+        hit, _ = first_realizable(n, squared[screened])
+        if hit is not None:
+            row = int(screened[hit])
             rng.bit_generator.state = state
             rng.uniform(low, high, size=(row + 1) * dim)
             return SimplexSpec.from_vector(n, squared[row].tolist())

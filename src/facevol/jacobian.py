@@ -39,6 +39,9 @@ from .simplex import (
 )
 
 RANK_THRESHOLD = 1e-8  # singular values above this times the largest count toward the rank
+# Largest n of analytic_jacobian, whose dense C(n+1,2)^2 matrix and full SVD grow
+# as n^6: jacobian_rank at n = 50 takes 0.8 s and 138 MB (2-vCPU VM, one BLAS thread).
+MAX_JACOBIAN_N = 50
 REGULAR_POINT_TOL = 1e-9  # default of verify_regular_point, relative to the constant
 FD_STEP_FACTOR = 1e-6
 
@@ -143,8 +146,13 @@ def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
 
 
 def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
-    """Jacobian of all (n-2)-face volumes with respect to plain edge lengths."""
+    """Jacobian of all (n-2)-face volumes with respect to plain edge lengths.
+
+    ValueError for n above MAX_JACOBIAN_N, checked before anything is built.
+    """
     n = spec.n
+    if n > MAX_JACOBIAN_N:
+        raise ValueError(f"jacobian dimension {n} is above the limit of {MAX_JACOBIAN_N}")
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
     faces = face_vertices(n, n - 2)

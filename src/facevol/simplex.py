@@ -91,6 +91,14 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _check_dimension(n) -> None:
+    """ValueError unless n, a simplex's dimension, is an integer >= 1 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class SimplexSpec:
     """An n-simplex described by squared edge lengths.
@@ -105,10 +113,7 @@ class SimplexSpec:
     squared_lengths: dict[tuple[int, int], float | Fraction]
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
-            raise ValueError(f"dimension must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        _check_dimension(self.n)
         count = comb(self.n + 1, 2)
         # compare counts first: a wrong count at large n would list every pair
         expected = lex_pairs(self.n) if len(self.squared_lengths) == count else None
@@ -167,9 +172,10 @@ class SimplexSpec:
 
     @classmethod
     def from_vector(cls, n: int, values) -> "SimplexSpec":
+        _check_dimension(n)
         values = list(values)
-        # count before listing the pairs; __post_init__ rejects n < 1
-        if n >= 1 and len(values) != comb(n + 1, 2):
+        # count before listing the pairs
+        if len(values) != comb(n + 1, 2):
             raise ValueError(f"expected {comb(n + 1, 2)} squared lengths, got {len(values)}")
         return cls(n, dict(zip(lex_pairs(n), values)))
 
@@ -394,15 +400,6 @@ def _gram_and_tolerance(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
 
 
-def _gram_test(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest Gram eigenvalue and its tolerance for each squared-distance matrix.
-
-    Both results have the batch shape of `distances`; one matrix gives 0-d results.
-    """
-    g, tol = _gram_and_tolerance(distances)
-    return np.linalg.eigvalsh(g)[..., 0], tol
-
-
 def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     """Check that the distance data embeds in Euclidean space.
 
@@ -410,12 +407,9 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     semidefinite; we accept eigenvalues down to -1e-10 * trace(G) so that
     boundary cases (degenerate but embeddable data) pass.
     """
-    low, tol = map(float, _gram_test(spec.distance_matrix))
-    return RealizabilityCertificate(
-        realizable=low >= -tol,
-        min_eigenvalue=low,
-        tolerance=tol,
-    )
+    g, tol = _gram_and_tolerance(spec.distance_matrix)
+    low, tol = float(np.linalg.eigvalsh(g)[0]), float(tol)
+    return RealizabilityCertificate(realizable=low >= -tol, min_eigenvalue=low, tolerance=tol)
 
 
 @cache
@@ -428,29 +422,24 @@ def _triangle_edges(n: int) -> np.ndarray:
     return edges
 
 
-def realizable_rows(n: int, squared: np.ndarray) -> np.ndarray:
-    """The is_realizable test on each row of squared lengths in lex pair order.
+def triangle_screen(n: int, rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of squared lengths that the Gram test could accept.
 
-    `squared` has shape (..., binomial(n+1, 2)); the boolean result has shape (...).
-    A triangle screen first rejects rows that the Gram test provably rejects;
-    only the others get an eigvalsh.  Triangle ijk's Gram matrix at vertex i
-    is T G T' with T's rows e_j - e_i and e_k - e_i (e_1 = 0), and |T|^2 <= 3,
-    so lam_min(G) <= lam_tri / 3 when lam_tri < 0.  Rows are scaled by
-    M = max(largest squared length, 1e-300) and rejected when some
-    lam_tri / 3 < -TRIANGLE_SCREEN_MARGIN * (n+1) * M.  As tol <= 1e-10 * n * M,
-    such a row has lam_min(G) below -300 tol, a gap far beyond the ~1e-15 * n * M
-    error of eigvalsh or of the closed form.
+    `rows` has shape (count, binomial(n+1, 2)), in lex pair order; the mask
+    drops, with no eigvalsh, rows that the Gram test provably rejects.
+    Triangle ijk's Gram matrix at vertex i is T G T' with T's rows e_j - e_i
+    and e_k - e_i (e_1 = 0), and |T|^2 <= 3, so lam_min(G) <= lam_tri / 3
+    when lam_tri < 0.  Rows are scaled by M = max(largest squared length,
+    1e-300) and rejected when some lam_tri / 3 < -TRIANGLE_SCREEN_MARGIN *
+    (n+1) * M.  As tol <= 1e-10 * n * M, such a row has lam_min(G) below
+    -300 tol, a gap far beyond the ~1e-15 * n * M error of eigvalsh or of
+    the closed form.
     """
-    rows = squared.reshape(-1, squared.shape[-1])
     # scaled to at most 1/2, so the squares below neither overflow nor matter if they underflow
     half = rows * (0.5 / np.maximum(rows.max(axis=1, keepdims=True), 1e-300))
     p, q, r = (half[:, edges] for edges in _triangle_edges(n))
     lam_tri = p + q - np.sqrt((p - q) ** 2 + (p + q - r) ** 2)
-    tested = ~(np.min(lam_tri, axis=1, initial=np.inf) / 3 < -TRIANGLE_SCREEN_MARGIN * (n + 1))
-    verdict = np.zeros(len(rows), dtype=bool)
-    low, tol = _gram_test(squared_distance_matrix(n, rows[tested]))
-    verdict[tested] = low >= -tol
-    return verdict.reshape(squared.shape[:-1])
+    return ~(np.min(lam_tri, axis=1, initial=np.inf) / 3 < -TRIANGLE_SCREEN_MARGIN * (n + 1))
 
 
 def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
@@ -460,8 +449,8 @@ def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
     tolerances of all rows are built at once, but eigenvalues are computed
     on blocks of 1, 4, 16, ... rows, up to the first block with a hit; the
     second item counts the rows of those blocks.  eigvalsh treats each
-    matrix of a stack on its own, so the index is the first index of
-    realizable_rows(n, rows).
+    matrix of a stack on its own, so the blocks move no decision: a row
+    embeds exactly when is_realizable accepts its spec.
     """
     g, tol = _gram_and_tolerance(squared_distance_matrix(n, rows))
     start, size = 0, 1
@@ -540,8 +529,6 @@ def spec_from_json(data: dict) -> SimplexSpec:
         raw = data["squared_lengths"]
     except (KeyError, TypeError):
         raise ValueError('simplex JSON needs keys "n" and "squared_lengths"') from None
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f'"n" must be an integer, got {n!r}')
     if not isinstance(raw, list):
         raise ValueError(f'"squared_lengths" must be a list, got {raw!r}')
     return SimplexSpec.from_vector(n, [_value_from_json(x) for x in raw])

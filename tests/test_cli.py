@@ -357,6 +357,23 @@ def test_boolean_dimension_is_usage_error(capsys, tmp_path):
     assert err.startswith("facevol volume:") and "integer" in err
 
 
+def test_non_integer_dimension_is_one_line_usage_error(capsys, tmp_path):
+    path = write_spec(tmp_path, "float-n.json", {"n": 3.0, "squared_lengths": [1] * 6})
+    code, out, err = run(capsys, "volume", "--input", path)
+    assert code == 2 and out == ""
+    assert err == "facevol volume: dimension must be an integer, got 3.0\n"
+
+
+def test_jacobian_dimension_limit_is_one_line_usage_error(capsys, tmp_path):
+    n = jacobian.MAX_JACOBIAN_N + 1
+    path = write_spec(tmp_path, "big.json", {"n": n, "squared_lengths": [1] * comb(n + 1, 2)})
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, "jacobian", "--input", path, "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"facevol jacobian: jacobian dimension {n} is above the limit of {n - 1}\n"
+    assert not out_path.exists()
+
+
 def test_invert_without_realizable_start_is_usage_error(capsys, tmp_path):
     # log-uniform draws in [0.25, 4] almost never embed at n=6
     path = write_spec(tmp_path, "reg6.json", {"n": 6, "squared_lengths": [1] * 21})

@@ -1,15 +1,17 @@
 """Property tests: exact squared volumes obey relabelling and scaling exactly,
-and their Gram determinants are the Cayley-Menger determinants up to sign."""
+their Gram determinants are the Cayley-Menger determinants up to sign, and
+exact linear solves either solve or refuse a singular system."""
 
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, build_cm_matrix, relabel
-from facevol.exact import int_determinant
+from facevol.exact import fraction_determinant, int_determinant, solve_fraction_system
 from facevol.simplex import exact_gram_determinants, face_vertices, squared_volumes
 
 EXACT_VALUES = st.one_of(
@@ -69,3 +71,34 @@ def test_gram_determinants_are_signed_cm_determinants(data):
     cm = [[int(v * scale) if i and j else int(v) for j, v in enumerate(row)]
           for i, row in enumerate(build_cm_matrix(spec, face))]
     assert det_h.tolist() == [(-1) ** (m + 1) * int_determinant(cm)]
+
+
+SYSTEM_ENTRIES = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@st.composite
+def fraction_systems(draw):
+    """(a, b) with 1-5 unknowns and Fraction entries of mixed denominators.
+
+    Half the matrices get a last row that is a multiple (maybe 0) of the first,
+    so singular systems are common.
+    """
+    size = draw(st.integers(min_value=1, max_value=5))
+    rows = st.lists(SYSTEM_ENTRIES, min_size=size, max_size=size)
+    a = draw(st.lists(rows, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        factor = draw(SYSTEM_ENTRIES)
+        a[-1] = [factor * x for x in a[0]]
+    return a, draw(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_systems())
+def test_solve_fraction_system_solves_or_refuses(system):
+    a, b = system
+    if fraction_determinant(a) == 0:
+        with pytest.raises(ValueError, match="^singular system$"):
+            solve_fraction_system(a, b)
+    else:
+        x = solve_fraction_system(a, b)
+        assert [sum(entry * value for entry, value in zip(row, x)) for row in a] == b

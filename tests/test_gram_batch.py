@@ -1,6 +1,6 @@
 """Property tests: the stacked Gram test agrees with the one-spec test row by row,
 the triangle screen changes none of its decisions, and the blocked first-hit
-search agrees with the stacked test."""
+search, with or without the screen in front, agrees with the stacked test."""
 
 from itertools import combinations
 from math import comb
@@ -13,19 +13,24 @@ from hypothesis import strategies as st
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
 from facevol.simplex import (
     TRIANGLE_SCREEN_MARGIN,
-    _gram_test,
+    _gram_and_tolerance,
     first_realizable,
-    realizable_rows,
     squared_distance_matrix,
+    triangle_screen,
 )
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
 
 
 def gram_only(n, rows):
-    """The eigvalsh-only decision that realizable_rows screens for."""
-    low, tol = _gram_test(squared_distance_matrix(n, np.asarray(rows, dtype=float)))
-    return low >= -tol
+    """The eigvalsh-only decision of each row, in one stacked eigvalsh call."""
+    g, tol = _gram_and_tolerance(squared_distance_matrix(n, np.asarray(rows, dtype=float)))
+    return np.linalg.eigvalsh(g)[..., 0] >= -tol
+
+
+def alone(n, row):
+    """first_realizable's decision on one row."""
+    return first_realizable(n, np.asarray(row, dtype=float)[None])[0] == 0
 
 
 @st.composite
@@ -76,41 +81,38 @@ def stacks(draw):
 @given(stacks())
 def test_stacked_gram_test_matches_single_rows(case):
     n, rows, boundary = case
-    batched = realizable_rows(n, rows)
-    assert batched.shape == (len(rows),)
-    assert batched.tolist() == gram_only(n, rows).tolist()  # the triangle screen moves no decision
+    screen = triangle_screen(n, rows)
+    batched = gram_only(n, rows)
+    assert screen.shape == batched.shape == (len(rows),)
+    assert (screen & batched).tolist() == batched.tolist()  # the triangle screen moves no decision
     for row, verdict, flat in zip(rows, batched, boundary):
         spec = SimplexSpec.from_vector(n, row.tolist())
-        assert bool(verdict) == is_realizable(spec).realizable
+        assert bool(verdict) == alone(n, row) == is_realizable(spec).realizable
         if flat:
             assert verdict  # points that span fewer than n dimensions still embed
 
 
-@settings(max_examples=50, deadline=None)
-@given(DIMENSIONS, st.integers(min_value=1, max_value=5), st.integers(0, 2**32 - 1))
-def test_stacked_gram_test_keeps_batch_shape(n, rows, seed):
-    squared = np.random.default_rng(seed).uniform(0.25, 4.0, size=(2, rows, comb(n + 1, 2)))
-    batched = realizable_rows(n, squared)
-    assert batched.shape == (2, rows)
-    assert batched.tolist() == [
-        [is_realizable(SimplexSpec.from_vector(n, row.tolist())).realizable for row in block]
-        for block in squared
-    ]
-
-
 def first_stacked_hit(n, rows):
-    hits = np.flatnonzero(realizable_rows(n, rows))
+    hits = np.flatnonzero(gram_only(n, rows))
     return int(hits[0]) if hits.size else None
+
+
+def first_screened_hit(n, rows):
+    """The start search's first hit: first_realizable on the rows that pass triangle_screen."""
+    screened = np.flatnonzero(triangle_screen(n, rows))
+    hit, _ = first_realizable(n, rows[screened])
+    return None if hit is None else int(screened[hit])
 
 
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_first_realizable_matches_stacked_test(case):
     n, rows, _ = case
-    verdicts = realizable_rows(n, rows)
+    verdicts = gram_only(n, rows)
     # every suffix moves the first hit; the rows that fail have none
     for start in range(len(rows)):
-        assert first_realizable(n, rows[start:])[0] == first_stacked_hit(n, rows[start:])
+        hit = first_stacked_hit(n, rows[start:])
+        assert first_realizable(n, rows[start:])[0] == hit == first_screened_hit(n, rows[start:])
     assert first_realizable(n, rows[~verdicts]) == (None, int((~verdicts).sum()))
 
 
@@ -137,6 +139,7 @@ def test_first_realizable_blocks(eigvalsh_rows, hit, count, tested):
     assert first_realizable(3, rows) == (hit, tested)
     assert hit == first_stacked_hit(3, rows)
     assert sum(eigvalsh_rows[:-1]) == tested  # the last call is first_stacked_hit's
+    assert hit == first_screened_hit(3, rows)
 
 
 # --- the triangle screen in front of the Gram test ---------------------------
@@ -154,18 +157,19 @@ def triangle_low(n, row):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_triangle_screen_matches_gram_test_on_log_uniform_blocks(eigvalsh_rows, n):
+def test_triangle_screen_matches_gram_test_on_log_uniform_blocks(n):
     rng = np.random.default_rng(100 + n)
     rows = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(4000, comb(n + 1, 2))))
+    screen = triangle_screen(n, rows)
+    assert screen.sum() < len(rows) // 2  # most draws get no eigvalsh
     # huge and tiny rescalings screen the same rows: the screen scales each row by its largest
     for scale in (1.0, 1e-300, 1e300):
-        verdicts = realizable_rows(n, scale * rows)
-        tested = eigvalsh_rows[-1]
-        assert verdicts.tolist() == gram_only(n, scale * rows).tolist()
-        assert tested == eigvalsh_rows[0] < len(rows) // 2  # most draws get no eigvalsh
+        verdicts = gram_only(n, scale * rows)
+        assert triangle_screen(n, scale * rows).tolist() == screen.tolist()
+        assert (screen & verdicts).tolist() == verdicts.tolist()
     # subnormal rows: the 1e-300 floor under the scale keeps the screen from rejecting any
     tiny = 2.0**-1060 * rows
-    assert realizable_rows(n, tiny).tolist() == gram_only(n, tiny).tolist()
+    assert triangle_screen(n, tiny).all()
 
 
 def near_collinear(n, nudge):
@@ -186,9 +190,9 @@ def test_triangle_screen_keeps_rows_that_embed_within_tolerance(n):
     row = near_collinear(n, -1e-12)
     assert triangle_low(n, row) < 0
     assert gram_only(n, row)
-    assert realizable_rows(n, row)
+    assert triangle_screen(n, row[None]).tolist() == [True] and alone(n, row)
     far = near_collinear(n, -1e-3)  # well past the tolerance: both tests reject it
-    assert not gram_only(n, far) and not realizable_rows(n, far)
+    assert not gram_only(n, far) and not triangle_screen(n, far[None])[0] and not alone(n, far)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -203,8 +207,10 @@ def test_triangle_screen_margin(eigvalsh_rows, n):
     for row, factor in zip(rows, factors):
         assert triangle_low(n, row) / 3 / (-margin * row[-1]) == pytest.approx(factor, rel=1e-6)
     eigvalsh_rows.clear()
-    assert realizable_rows(n, rows).tolist() == [False] * 4
-    assert eigvalsh_rows == [2]  # only the two rows above the bar get an eigvalsh
+    screen = triangle_screen(n, rows)
+    assert screen.tolist() == [True, True, False, False]  # only the two rows above the bar
+    assert first_realizable(n, rows[screen]) == (None, 2)
+    assert eigvalsh_rows == [1, 1]  # get an eigvalsh, in blocks of 1 and 4
     assert gram_only(n, rows).tolist() == [False] * 4
 
 
@@ -217,6 +223,7 @@ def test_triangle_screen_margin(eigvalsh_rows, n):
 def test_triangle_screen_small_and_zero_rows(n, rows, verdicts):
     # zeros: coincident vertices; n = 1 has no triangle and n = 2 exactly one
     rows = np.array(rows)
-    assert realizable_rows(n, rows).tolist() == verdicts
+    assert (triangle_screen(n, rows) | ~np.array(verdicts)).all()
     assert gram_only(n, rows).tolist() == verdicts
-    assert [bool(realizable_rows(n, row)) for row in rows] == verdicts
+    assert [alone(n, row) for row in rows] == verdicts
+    assert first_screened_hit(n, rows) == verdicts.index(True)

@@ -209,6 +209,14 @@ def test_rank_regular_n6():
     assert rank == 21
 
 
+def test_jacobian_dimension_limit_boundary(monkeypatch):
+    monkeypatch.setattr(jacobian, "MAX_JACOBIAN_N", 5)
+    assert analytic_jacobian(regular_simplex(5)).shape == (15, 15)
+    monkeypatch.setattr(jacobian, "is_realizable", None)  # refused before the Gram test
+    with pytest.raises(ValueError, match="^jacobian dimension 6 is above the limit of 5$"):
+        jacobian_rank(regular_simplex(6))
+
+
 def test_stretched_direction_is_singular_at_t0():
     # the volume of every codimension-2 face is stationary in t at t0
     constants = family_constants(4)

@@ -220,6 +220,9 @@ def test_spec_validation():
         SimplexSpec(0, {})
     with pytest.raises(ValueError):
         SimplexSpec(True, {(1, 2): 1.0})
+    for n in ("3", 3.0, None, True):  # checked before the count, which True passed as 1
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            SimplexSpec.from_vector(n, [1] * 6)
     for bad in (float("inf"), float("nan"), np.float64("-inf")):
         with pytest.raises(ValueError):
             SimplexSpec.from_vector(2, [1.0, bad, 1.0])
@@ -390,8 +393,9 @@ def test_json_rejects_malformed():
         spec_from_json({"n": 2, "squared_lengths": [1, 2, None]})
     with pytest.raises(ValueError):
         spec_from_json(json.loads('{"n": 2, "squared_lengths": [1, 2, "x/y"]}'))
-    with pytest.raises(ValueError):
-        spec_from_json({"n": True, "squared_lengths": [1]})
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            spec_from_json({"n": n, "squared_lengths": [1, 1, 1]})
     for raw in (5, None):
         with pytest.raises(ValueError, match="must be a list"):
             spec_from_json({"n": 2, "squared_lengths": raw})
