@@ -100,8 +100,8 @@ def solve(problem: InverseProblem) -> SolveResult:
     if first_realizable(n, squared[None])[0] is None:
         raise RealizabilityError("start spec is not realizable")
     gram_rows = 1
-    values, cm = point_volumes(n, squared)
-    jac = point_jacobian(n, *cm)
+    values, stack = point_volumes(n, squared)
+    jac = point_jacobian(n, stack, values)
     norm = float(np.linalg.norm(values - target))
     trajectory = [norm]
     identity = np.eye(dim)
@@ -132,11 +132,11 @@ def solve(problem: InverseProblem) -> SolveResult:
             break
 
         trial = trials[hit]
-        trial_values, trial_cm = point_volumes(n, trial)
+        trial_values, trial_stack = point_volumes(n, trial)
         trial_norm = float(np.linalg.norm(trial_values - target))
         if trial_norm <= norm:
             squared, lengths = trial, np.sqrt(trial)
-            values, jac = trial_values, point_jacobian(n, *trial_cm)
+            values, jac = trial_values, point_jacobian(n, trial_stack, trial_values)
             norm = trial_norm
             trajectory.append(norm)
             iterations += 1

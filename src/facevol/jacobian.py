@@ -30,6 +30,7 @@ from .simplex import (
     build_cm_matrix,
     cm_squared_volumes,
     cm_stack,
+    face_edges,
     face_stack,
     face_vertices,
     face_volumes,
@@ -89,43 +90,36 @@ def _jacobian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     Gradient entry [f, e] is the derivative of face f (complement-key
     order) along the face's e-th edge (lexicographic order).
     """
-    faces = face_vertices(n, n - 2)
-    a, b = _edge_positions(n - 1)
-    edge_ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=int)
-    cols = edge_ids[faces[:, a - 1], faces[:, b - 1]]
-    rows = np.broadcast_to(np.arange(len(faces))[:, None], cols.shape)
-    return rows, cols
+    cols = face_edges(n, n - 2)
+    return np.broadcast_to(np.arange(len(cols))[:, None], cols.shape), cols
 
 
-def _gradients(
-    faces: np.ndarray, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
+def _gradients(faces: np.ndarray, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray:
     """Volume derivatives of each face with respect to its plain edge lengths.
 
+    Takes the faces' float CM stack and their volumes from face_volumes.
     One row per face, one column per edge inside the face in lexicographic
     order.  dV/dl_e = 2 s_m cof_e l_e / V, with s_m the Cayley-Menger
     prefactor and cof_e the cofactor at the position (a, b) of l_e^2 in the
     face's CM matrix C.  The adjugate gives cof_e = det(C) (C^-1)_ab, and
     s_m det(C) = V^2, so dV/dl_e = 2 V l_e (C^-1)_ab: one batched inverse
     replaces a minor per entry.  Raises DegenerateFaceError at the first
-    face with zero volume, judged against the faces' volume_scales; the
-    message names the face's vertices.
+    face whose squared volume is at most ZERO_VOLUME_REL_TOL times its
+    volume_scales; the message names the face's vertices.
     """
-    degenerate = sq <= ZERO_VOLUME_REL_TOL * scales
+    degenerate = volumes**2 <= ZERO_VOLUME_REL_TOL * volume_scales(stack)
     if degenerate.any():
         face = tuple((faces[int(np.argmax(degenerate))] + 1).tolist())
         raise DegenerateFaceError(f"face {face} is degenerate")
     a, b = _edge_positions(faces.shape[1])
     inverse = np.linalg.inv(stack)
-    return 2.0 * np.sqrt(sq)[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]
+    return 2.0 * volumes[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]
 
 
-def _jacobian(
-    n: int, faces: np.ndarray, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
+def _jacobian(n: int, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray:
     rows, cols = _jacobian_index(n)
-    jac = np.zeros((len(faces), comb(n + 1, 2)))
-    jac[rows, cols] = _gradients(faces, stack, sq, scales)
+    jac = np.zeros((len(volumes), comb(n + 1, 2)))
+    jac[rows, cols] = _gradients(face_vertices(n, n - 2), stack, volumes)
     return jac
 
 
@@ -139,56 +133,51 @@ def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     face = tuple(sorted(face))
     if len(face) < 2:
         return {}
+    faces = np.array([face]) - 1
     stack = build_cm_matrix(spec, face).astype(float)[None]
-    sq = cm_squared_volumes(stack)
-    gradient = _gradients(np.array([face]) - 1, stack, sq, volume_scales(stack))
-    return dict(zip(combinations(face, 2), gradient[0].tolist()))
+    volumes = face_volumes(faces, stack, cm_squared_volumes(stack))
+    return dict(zip(combinations(face, 2), _gradients(faces, stack, volumes)[0].tolist()))
 
 
 def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     """Jacobian of all (n-2)-face volumes with respect to plain edge lengths.
 
-    ValueError for n above MAX_JACOBIAN_N, checked before anything is built.
+    Checks n against MAX_JACOBIAN_N (ValueError) before anything is built,
+    then the Gram test, then gives zeros for n <= 2.  Then point_volumes, the
+    solver's kernel, raises at a negative face before _gradients at a
+    degenerate one.
     """
     n = spec.n
     if n > MAX_JACOBIAN_N:
         raise ValueError(f"jacobian dimension {n} is above the limit of {MAX_JACOBIAN_N}")
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
-    faces = face_vertices(n, n - 2)
-    if faces.shape[1] < 2:  # n <= 2: the faces have no edges
-        return np.zeros((len(faces), comb(n + 1, 2)))
-    stack = cm_stack(spec.distance_matrix, faces)
-    return _jacobian(n, faces, stack, cm_squared_volumes(stack), volume_scales(stack))
+    if n <= 2:
+        return np.zeros((comb(n + 1, 2), comb(n + 1, 2)))
+    volumes, stack = point_volumes(n, spec.vector())
+    return _jacobian(n, stack, volumes)
 
 
-def point_volumes(
-    n: int, squared: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(n-2)-face volumes at one point, and the CM data they came from (n >= 2).
+def point_volumes(n: int, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n-2)-face volumes at one point and the faces' float CM stack (n >= 2).
 
     `squared` holds float squared lengths in lex pair order, already known
-    to embed: there is no Gram check.  Returns the volumes and the faces'
-    (CM stack, squared volumes, volume_scales), which point_jacobian takes.
-    Raises RealizabilityError at a face with negative squared volume, as
-    all_face_volumes does.
+    to embed: there is no Gram check.  point_jacobian takes the stack and
+    the volumes.  Raises RealizabilityError at a face with negative squared
+    volume, as all_face_volumes does.
     """
     faces = face_vertices(n, n - 2)
     stack = cm_stack(squared_distance_matrix(n, squared), faces)
-    sq = cm_squared_volumes(stack)
-    scales = volume_scales(stack)
-    return face_volumes(faces, sq, scales), (stack, sq, scales)
+    return face_volumes(faces, stack, cm_squared_volumes(stack)), stack
 
 
-def point_jacobian(
-    n: int, stack: np.ndarray, sq: np.ndarray, scales: np.ndarray
-) -> np.ndarray | None:
-    """Jacobian of the (n-2)-face volumes from the CM data of point_volumes.
+def point_jacobian(n: int, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray | None:
+    """Jacobian of the (n-2)-face volumes from the stack and volumes of point_volumes.
 
     None when a face is degenerate.
     """
     try:
-        return _jacobian(n, face_vertices(n, n - 2), stack, sq, scales)
+        return _jacobian(n, stack, volumes)
     except DegenerateFaceError:
         return None
 
@@ -261,7 +250,7 @@ def verify_regular_point(n: int, tol: float = REGULAR_POINT_TOL) -> dict:
         raise ValueError(
             f"squared volume {sq[0]:.3g} of a unit {n - 2}-simplex underflows a normal double"
         )
-    gradient = _gradients(face, stack, sq, volume_scales(stack))
+    gradient = _gradients(face, stack, face_volumes(face, stack, sq))
     deviation = float(np.abs(gradient - constants.scale).max())
     eigenvalues = zip(spectrum["eigenvalues"], spectrum["multiplicities"])
     nonzero = [(abs(lam), m) for lam, m in eigenvalues if lam]
@@ -282,7 +271,8 @@ def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
     """Max over faces of |sum_e l_e * dV/dl_e - face_dim * V|.
 
     Volume is homogeneous of degree face_dim in the edge lengths, so the residual
-    vanishes up to round-off; a degenerate face raises DegenerateFaceError.
+    vanishes up to round-off.  A negative face raises as face_volumes does, and
+    then a degenerate one DegenerateFaceError.
     """
     n = spec.n
     if not 1 <= face_dim <= n:
@@ -291,7 +281,7 @@ def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
         raise RealizabilityError("spec is not realizable")
     faces = face_vertices(n, face_dim)
     stack, sq = face_stack(spec, faces)
+    volumes = face_volumes(faces, stack, sq)
     a, b = _edge_positions(faces.shape[1])
-    gradients = _gradients(faces, stack, sq, volume_scales(stack))
-    weighted = (np.sqrt(stack[:, a, b]) * gradients).sum(axis=1)
-    return float(np.abs(weighted - face_dim * np.sqrt(sq)).max())
+    weighted = (np.sqrt(stack[:, a, b]) * _gradients(faces, stack, volumes)).sum(axis=1)
+    return float(np.abs(weighted - face_dim * volumes).max())

@@ -79,12 +79,30 @@ def squared_distance_matrix(n: int, squared: np.ndarray, dtype=float) -> np.ndar
 def face_vertices(n: int, face_dim: int) -> np.ndarray:
     """0-based vertices of every dimension-`face_dim` face, one row per face.
 
-    Rows follow the complement-key order of FaceVolumeVector.  The array is
-    cached per (n, face_dim) and read-only.
+    Rows follow the complement-key order of FaceVolumeVector: complements of
+    lex-ordered subsets come in reverse lex order.  The array is cached per
+    (n, face_dim) and read-only.
     """
-    faces = np.array([face_complement(n, key) for key in k_subsets(n, n - face_dim)]) - 1
+    subsets = k_subsets(n, face_dim + 1)[::-1]
+    faces = np.array(subsets, dtype=np.intp).reshape(len(subsets), face_dim + 1) - 1
     faces.setflags(write=False)
     return faces
+
+
+@cache
+def face_edges(n: int, face_dim: int) -> np.ndarray:
+    """Lex-pair index of each edge of every dimension-`face_dim` face.
+
+    One row per face, in face_vertices order, holding the face's edges in
+    lex order, read from one matrix of edge ids.  The array is cached per
+    (n, face_dim) and read-only.
+    """
+    ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=np.intp)
+    faces = face_vertices(n, face_dim)
+    a, b = np.triu_indices(face_dim + 1, 1)
+    edges = ids[faces[:, a], faces[:, b]]
+    edges.setflags(write=False)
+    return edges
 
 
 def _is_exact(value) -> bool:
@@ -378,14 +396,16 @@ def volume_scales(stack: np.ndarray) -> np.ndarray:
     return qmax**m / _gram_denominator(m)
 
 
-def face_volumes(faces: np.ndarray, sq: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Volumes of the faces from their squared volumes and volume_scales.
+def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Volumes of the faces from their float CM stack and squared volumes.
 
-    Degenerate faces get 0.  Raises RealizabilityError at the first face, in
-    the order of `faces`, whose squared volume is negative beyond round-off;
-    the message names the face's vertices.
+    A volume is the root of max(sq, 0): a squared volume <= 0 reads 0, so
+    exact degenerate faces get 0, while float round-off stays (a Jacobian
+    refuses such a face).  Raises RealizabilityError at the first face, in
+    the order of `faces`, whose squared volume is below -ZERO_VOLUME_REL_TOL
+    times its volume_scales; the message names the face's vertices.
     """
-    negative = sq < -ZERO_VOLUME_REL_TOL * scales
+    negative = sq < -ZERO_VOLUME_REL_TOL * volume_scales(stack)
     if negative.any():
         index = int(np.argmax(negative))
         face = tuple((faces[index] + 1).tolist())
@@ -412,16 +432,6 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     return RealizabilityCertificate(realizable=low >= -tol, min_eigenvalue=low, tolerance=tol)
 
 
-@cache
-def _triangle_edges(n: int) -> np.ndarray:
-    """Read-only lex-pair indices of edges ij, ik, jk (rows) of each triangle i<j<k (columns)."""
-    index = {pair: m for m, pair in enumerate(lex_pairs(n))}
-    edges = [(index[i, j], index[i, k], index[j, k]) for i, j, k in k_subsets(n, 3)]
-    edges = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-    edges.setflags(write=False)
-    return edges
-
-
 def triangle_screen(n: int, rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of squared lengths that the Gram test could accept.
 
@@ -437,7 +447,7 @@ def triangle_screen(n: int, rows: np.ndarray) -> np.ndarray:
     """
     # scaled to at most 1/2, so the squares below neither overflow nor matter if they underflow
     half = rows * (0.5 / np.maximum(rows.max(axis=1, keepdims=True), 1e-300))
-    p, q, r = (half[:, edges] for edges in _triangle_edges(n))
+    p, q, r = (half[:, edges] for edges in face_edges(n, 2).T)  # edges ij, ik, jk
     lam_tri = p + q - np.sqrt((p - q) ** 2 + (p + q - r) ** 2)
     return ~(np.min(lam_tri, axis=1, initial=np.inf) / 3 < -TRIANGLE_SCREEN_MARGIN * (n + 1))
 
@@ -471,8 +481,8 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
     not embed (is_realizable) raises RealizabilityError "spec is not
     realizable" before any face is computed.  Only the requested faces are
     computed; a face with negative squared volume beyond round-off, which the
-    Gram test let pass, raises as face_volumes does.  Degenerate faces get
-    volume exactly 0.
+    Gram test let pass, raises as face_volumes does.  A squared volume <= 0
+    reads 0, so exact degenerate faces get volume 0; float round-off stays.
     """
     n = spec.n
     if not 0 <= face_dim <= n:
@@ -486,8 +496,7 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
     faces = face_vertices(n, face_dim)
-    stack, sq = face_stack(spec, faces)
-    values = face_volumes(faces, sq, volume_scales(stack))
+    values = face_volumes(faces, *face_stack(spec, faces))
     return FaceVolumeVector(
         n=n, face_dim=face_dim, values=dict(zip(k_subsets(n, n - face_dim), values.tolist()))
     )

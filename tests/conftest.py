@@ -7,6 +7,11 @@ import pytest
 
 from facevol import SimplexSpec, family_constants, lex_pairs
 
+# A flat 4-simplex: lex squared lengths that the Gram test accepts (min
+# eigenvalue -2.0e-11 against a tolerance of 7.0e-10), while the squared
+# volume of triangle (1, 2, 3) is negative beyond round-off.
+FLAT_4_SIMPLEX = [1, 4 + 1e-10, 1, 1, 1, 2, 2, 5, 5, 2]
+
 
 def perturbed_regular(n: int, rng: np.random.Generator, spread: float = 0.1) -> SimplexSpec:
     """Random realizable spec: unit squared lengths jittered by +-spread."""

@@ -6,7 +6,7 @@ import pytest
 
 from facevol import SpectrumSpec, family, jacobian, kneser, simplex
 from facevol.cli import build_parser, main
-from conftest import whole_only_spec
+from conftest import FLAT_4_SIMPLEX, whole_only_spec
 
 
 def run(capsys, *argv):
@@ -311,6 +311,17 @@ def test_negative_face_that_passes_the_gram_test_is_one_line_usage_error(capsys,
     code, out, err = run(capsys, "faces", "--input", path, "--face-dim", "3")
     assert code == 2 and out == ""
     assert err.startswith("facevol faces: face (1, 2, 3, 4) has negative squared volume -")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["faces", "--face-dim", "2"], ["invert", "--starts", "1"], ["jacobian"]]
+)
+def test_negative_face_line_is_the_same_for_every_command(capsys, tmp_path, command):
+    path = write_spec(tmp_path, "flat4.json", {"n": 4, "squared_lengths": FLAT_4_SIMPLEX})
+    code, out, err = run(capsys, *command, "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"facevol {command[0]}: face (1, 2, 3) has negative squared volume -")
     assert err.count("\n") == 1
 
 

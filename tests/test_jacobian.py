@@ -7,6 +7,7 @@ import pytest
 from facevol import (
     BoundaryError,
     DegenerateFaceError,
+    RealizabilityError,
     SimplexSpec,
     all_face_volumes,
     analytic_jacobian,
@@ -28,7 +29,8 @@ from facevol import (
 )
 from facevol import jacobian, kneser
 from facevol.jacobian import RANK_THRESHOLD, point_jacobian, point_volumes
-from conftest import perturbed_regular
+from facevol.simplex import ZERO_VOLUME_REL_TOL, face_stack, face_vertices, volume_scales
+from conftest import FLAT_4_SIMPLEX, perturbed_regular
 
 
 def test_regular_point_constants():
@@ -283,11 +285,40 @@ def test_point_kernel_matches_spec_path_bit_for_bit(n):
     pts[n] = pts[1]  # vertices 2 and n+1 coincide: every face holding both is degenerate
     points.append(vertices_to_spec(pts).vector())
     for squared in points:
-        values, cm = point_volumes(n, squared)
-        jac = point_jacobian(n, *cm)
+        values, stack = point_volumes(n, squared)
+        jac = point_jacobian(n, stack, values)
         ref_values, ref_jac = spec_volumes_and_jacobian(n, squared)
         assert np.array_equal(values, ref_values)
         assert (jac is None) == (ref_jac is None)
         if jac is not None:
             assert np.array_equal(jac, ref_jac)
     assert jac is None  # the degenerate point
+
+
+def test_negative_face_is_named_the_same_way_by_every_kernel():
+    # the Gram test accepts the flat 4-simplex within its tolerance, but its
+    # triangle (1, 2, 3) has a negative squared volume beyond round-off
+    spec = SimplexSpec.from_vector(4, FLAT_4_SIMPLEX)
+    certificate = is_realizable(spec)
+    assert certificate and -certificate.tolerance < certificate.min_eigenvalue < 0
+    message = r"^face \(1, 2, 3\) has negative squared volume -"
+    for compute in (
+        lambda: all_face_volumes(spec, 2),
+        lambda: analytic_jacobian(spec),
+        lambda: euler_identity_check(spec, 2),
+    ):
+        with pytest.raises(RealizabilityError, match=message):
+            compute()
+
+
+def test_round_off_volume_of_a_collinear_face_is_kept_and_refused_by_the_jacobian():
+    # vertices 1, 2, 3 on a line: the float squared volume of their triangle is
+    # positive round-off, reported as a tiny volume but degenerate for a gradient
+    points = [[0, 0, 0, 0], [1, 0, 0, 0], [1.7, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    spec = vertices_to_spec(points)
+    assert is_realizable(spec)
+    value = all_face_volumes(spec, 2).values[(4, 5)]  # the face keyed by (4, 5) is (1, 2, 3)
+    stack, _ = face_stack(spec, face_vertices(4, 2))
+    assert 0 < value**2 <= ZERO_VOLUME_REL_TOL * volume_scales(stack)[-1]
+    with pytest.raises(DegenerateFaceError, match=r"^face \(1, 2, 3\) is degenerate$"):
+        analytic_jacobian(spec)

@@ -25,7 +25,7 @@ from facevol import (
 )
 from facevol.exact import fraction_determinant
 from facevol import simplex
-from facevol.simplex import face_stack, face_vertices, squared_volumes
+from facevol.simplex import face_edges, face_stack, face_vertices, squared_volumes
 from conftest import circle_instance, coordinate_volume_sq, perturbed_regular, whole_only_spec
 
 
@@ -141,6 +141,25 @@ def test_whole_only_failure_computes_only_the_requested_faces(monkeypatch, exact
     with pytest.raises(RealizabilityError, match="^spec is not realizable$"):
         all_face_volumes(spec, n - 2)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_face_vertices_are_the_complements_of_the_keys(n):
+    for d in range(n + 1):
+        faces = face_vertices(n, d)
+        assert not faces.flags.writeable
+        complements = [list(face_complement(n, key)) for key in k_subsets(n, n - d)]
+        assert (faces + 1).tolist() == complements
+
+
+def test_face_edges_are_lex_pair_indices():
+    for n in range(1, 8):
+        index = {pair: m for m, pair in enumerate(lex_pairs(n))}
+        for d in range(n + 2):  # d = n + 1 has no face
+            edges = face_edges(n, d)
+            assert not edges.flags.writeable
+            faces = (face_vertices(n, d) + 1).tolist()
+            assert edges.tolist() == [[index[pair] for pair in combinations(f, 2)] for f in faces]
 
 
 def test_negative_face_that_passes_the_gram_test_is_named():
