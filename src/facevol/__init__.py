@@ -15,7 +15,6 @@ from .family import (
 from .inverse import (
     InverseProblem,
     SolveResult,
-    StartDrawError,
     basin_probe,
     random_realizable_spec,
     result_to_json,

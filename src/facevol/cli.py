@@ -177,6 +177,7 @@ def _cmd_invert(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
     if spec.n < 3:  # at n=2 the target is the vertex volumes, 1 for every start
         raise ValueError(f"dimension must be >= 3 to invert, got n={spec.n}")
+    jacobian.check_jacobian_dimension(spec.n)  # before any face; basin_probe checks after
     target = simplex.all_face_volumes(spec, spec.n - 2)
     clusters = inverse.basin_probe(target, num_starts=args.starts, seed=args.seed, tol=args.tol)
     report = {

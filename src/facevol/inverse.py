@@ -9,10 +9,9 @@ converged, degenerate_face (the Jacobian is undefined), step_stall (none
 of those halvings above STEP_STALL embeds), damping_overflow (the damping
 passed MAX_DAMPING) or max_iters.
 Multi-start probing exposes targets with several preimages, e.g. both
-members of a mirror pair.  Its starts are log-uniform draws, rejection-
-sampled in blocks of START_BLOCK up to MAX_START_DRAWS; the simplex
-module's triangle_screen rejects most of them (about 85%, 97% and 99.5% at
-n = 4, 5, 6) before first_realizable computes any Gram eigenvalue.
+members of a mirror pair.  Its starts are squared distances of Gaussian
+points, which always embed; it refuses a target above MAX_JACOBIAN_N or
+one within its tolerance, which every start would match.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ from math import comb
 
 import numpy as np
 
-from .jacobian import point_jacobian, point_volumes
+from .jacobian import check_jacobian_dimension, point_jacobian, point_volumes
 from .simplex import (
     FaceVolumeVector,
     RealizabilityError,
     SimplexSpec,
     first_realizable,
     spec_to_json,
-    triangle_screen,
+    vertices_to_spec,
 )
 
 SQUARED_LENGTH_FLOOR = 1e-9
@@ -37,16 +36,9 @@ STEP_STALL = 1e-15
 MAX_DAMPING = 1e12
 CLUSTER_TOL = 1e-6
 SOLVE_TOL = 1e-10  # default residual norm at which a solve has converged
-START_RANGE = (0.25, 4.0)
-START_BLOCK = 256  # start draws made and tested per batch
-MAX_START_DRAWS = 10000  # draws random_realizable_spec makes before it gives up
 PROBE_MAX_ITERS = 200  # iteration limit of each basin_probe solve
 MAX_HALVINGS = 20  # 1 + 4 + 16 candidates: at most three Gram eigenvalue blocks
 HALVINGS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))
-
-
-class StartDrawError(ValueError):
-    """No realizable start among the random draws."""
 
 
 @dataclass(frozen=True)
@@ -168,29 +160,12 @@ def result_to_json(result: SolveResult) -> dict:
 
 
 def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
-    """Squared lengths log-uniform in [0.25, 4], rejected until realizable.
+    """Squared distances of n+1 standard Gaussian points in R^n, divided by their median.
 
-    Draws are made START_BLOCK at a time; the first that passes
-    triangle_screen, which spares most an eigvalsh, and then first_realizable
-    is accepted.  On a hit the generator is rewound to the block's start and
-    advanced past the accepted draw only, so for any block size it ends
-    where a one-draw-at-a-time loop would leave it.
-    StartDrawError when none of MAX_START_DRAWS draws is realizable.
+    Distances of points always embed (Schoenberg 1935): no draw is rejected.
     """
-    low, high = np.log(START_RANGE[0]), np.log(START_RANGE[1])
-    dim = comb(n + 1, 2)
-    for first in range(0, MAX_START_DRAWS, START_BLOCK):
-        state = rng.bit_generator.state
-        count = min(START_BLOCK, MAX_START_DRAWS - first)
-        squared = np.exp(rng.uniform(low, high, size=(count, dim)))
-        screened = np.flatnonzero(triangle_screen(n, squared))
-        hit, _ = first_realizable(n, squared[screened])
-        if hit is not None:
-            row = int(screened[hit])
-            rng.bit_generator.state = state
-            rng.uniform(low, high, size=(row + 1) * dim)
-            return SimplexSpec.from_vector(n, squared[row].tolist())
-    raise StartDrawError(f"no realizable start in {MAX_START_DRAWS} draws for n={n}")
+    squared = vertices_to_spec(rng.standard_normal((n + 1, n))).vector()
+    return SimplexSpec.from_vector(n, (squared / np.median(squared)).tolist())
 
 
 def basin_probe(
@@ -198,13 +173,19 @@ def basin_probe(
 ) -> list[SolveResult]:
     """Run seeded multi-start solves and cluster the converged solutions.
 
-    Each solve runs at most PROBE_MAX_ITERS iterations.  Solutions whose
-    sorted squared-length vectors differ by at most 1e-6 (sup norm) count as
-    the same preimage; one representative per cluster is returned, in order
-    of first discovery.
+    Each solve runs at most PROBE_MAX_ITERS iterations.  Solutions whose sorted
+    squared lengths differ by at most CLUSTER_TOL (sup norm) are one preimage;
+    the first found of each is returned, in order.  ValueError for a target
+    above MAX_JACOBIAN_N or of norm at most tol, which every start would match.
     """
     if num_starts < 1:
         raise ValueError(f"num_starts must be >= 1, got {num_starts}")
+    check_jacobian_dimension(target.n)
+    norm = float(np.linalg.norm(target.vector()))
+    if norm <= tol:
+        raise ValueError(
+            f"target norm {norm:.3g} is at most the tolerance {tol:g}: every start would converge"
+        )
     rng = np.random.default_rng(seed)
     representatives: list[SolveResult] = []
     signatures: list[np.ndarray] = []

@@ -139,6 +139,12 @@ def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     return dict(zip(combinations(face, 2), _gradients(faces, stack, volumes)[0].tolist()))
 
 
+def check_jacobian_dimension(n: int) -> None:
+    """ValueError when n is above MAX_JACOBIAN_N, the largest n a Jacobian is built for."""
+    if n > MAX_JACOBIAN_N:
+        raise ValueError(f"jacobian dimension {n} is above the limit of {MAX_JACOBIAN_N}")
+
+
 def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     """Jacobian of all (n-2)-face volumes with respect to plain edge lengths.
 
@@ -148,8 +154,7 @@ def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     degenerate one.
     """
     n = spec.n
-    if n > MAX_JACOBIAN_N:
-        raise ValueError(f"jacobian dimension {n} is above the limit of {MAX_JACOBIAN_N}")
+    check_jacobian_dimension(n)
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
     if n <= 2:

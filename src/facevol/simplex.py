@@ -31,7 +31,6 @@ import numpy as np
 from .exact import bareiss_determinants
 
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
-TRIANGLE_SCREEN_MARGIN = 3e-8  # relative to (n+1) * a row's largest squared length
 ZERO_VOLUME_REL_TOL = 1e-12
 MAX_FACES = 50_000  # most faces all_face_volumes computes in one call
 
@@ -430,26 +429,6 @@ def is_realizable(spec: SimplexSpec) -> RealizabilityCertificate:
     g, tol = _gram_and_tolerance(spec.distance_matrix)
     low, tol = float(np.linalg.eigvalsh(g)[0]), float(tol)
     return RealizabilityCertificate(realizable=low >= -tol, min_eigenvalue=low, tolerance=tol)
-
-
-def triangle_screen(n: int, rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of squared lengths that the Gram test could accept.
-
-    `rows` has shape (count, binomial(n+1, 2)), in lex pair order; the mask
-    drops, with no eigvalsh, rows that the Gram test provably rejects.
-    Triangle ijk's Gram matrix at vertex i is T G T' with T's rows e_j - e_i
-    and e_k - e_i (e_1 = 0), and |T|^2 <= 3, so lam_min(G) <= lam_tri / 3
-    when lam_tri < 0.  Rows are scaled by M = max(largest squared length,
-    1e-300) and rejected when some lam_tri / 3 < -TRIANGLE_SCREEN_MARGIN *
-    (n+1) * M.  As tol <= 1e-10 * n * M, such a row has lam_min(G) below
-    -300 tol, a gap far beyond the ~1e-15 * n * M error of eigvalsh or of
-    the closed form.
-    """
-    # scaled to at most 1/2, so the squares below neither overflow nor matter if they underflow
-    half = rows * (0.5 / np.maximum(rows.max(axis=1, keepdims=True), 1e-300))
-    p, q, r = (half[:, edges] for edges in face_edges(n, 2).T)  # edges ij, ik, jk
-    lam_tri = p + q - np.sqrt((p - q) ** 2 + (p + q - r) ** 2)
-    return ~(np.min(lam_tri, axis=1, initial=np.inf) / 3 < -TRIANGLE_SCREEN_MARGIN * (n + 1))
 
 
 def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:

@@ -385,16 +385,37 @@ def test_jacobian_dimension_limit_is_one_line_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
-def test_invert_without_realizable_start_is_usage_error(capsys, tmp_path):
-    # log-uniform draws in [0.25, 4] almost never embed at n=6
+def test_invert_regular_6_simplex_finds_a_preimage(capsys, tmp_path):
+    # every start embeds, whatever n
     path = write_spec(tmp_path, "reg6.json", {"n": 6, "squared_lengths": [1] * 21})
+    code, out, err = run(capsys, "invert", "--input", path, "--starts", "10", "--seed", "0")
+    assert code == 0 and err == ""
+    clusters = json.loads(out)["clusters"]
+    assert clusters and all(cluster["converged"] for cluster in clusters)
+
+
+def test_invert_dimension_limit_is_one_line_usage_error(capsys, tmp_path, monkeypatch):
+    n = jacobian.MAX_JACOBIAN_N + 1
+    path = write_spec(tmp_path, "big.json", {"n": n, "squared_lengths": [1] * comb(n + 1, 2)})
     out_path = tmp_path / "never.json"
-    code, out, err = run(capsys, "invert", "--input", path, "--starts", "1",
-                         "--output", str(out_path))
-    assert code == 2
-    assert out == "" and not out_path.exists()
-    assert err.startswith("facevol invert: no realizable start")
-    assert err.count("\n") == 1
+    monkeypatch.setattr(simplex, "all_face_volumes", None)  # refused before any face
+    code, out, err = run(capsys, "invert", "--input", path, "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"facevol invert: jacobian dimension {n} is above the limit of {n - 1}\n"
+    assert not out_path.exists()
+
+
+def test_invert_target_within_the_tolerance_is_one_line_usage_error(capsys, tmp_path):
+    # the regular 15-simplex's codimension-2 volumes have norm 7.3e-11, below the default tol
+    path = write_spec(tmp_path, "reg15.json", {"n": 15, "squared_lengths": [1] * 120})
+    out_path = tmp_path / "never.json"
+    code, out, err = run(capsys, "invert", "--input", path, "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == (
+        "facevol invert: target norm 7.27e-11 is at most the tolerance 1e-10: "
+        "every start would converge\n"
+    )
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,8 +1,6 @@
 """Property tests: the stacked Gram test agrees with the one-spec test row by row,
-the triangle screen changes none of its decisions, and the blocked first-hit
-search, with or without the screen in front, agrees with the stacked test."""
+and the blocked first-hit search agrees with the stacked test."""
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -11,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facevol import SimplexSpec, is_realizable, vertices_to_spec
-from facevol.simplex import (
-    TRIANGLE_SCREEN_MARGIN,
-    _gram_and_tolerance,
-    first_realizable,
-    squared_distance_matrix,
-    triangle_screen,
-)
+from facevol.simplex import _gram_and_tolerance, first_realizable, squared_distance_matrix
 
 DIMENSIONS = st.integers(min_value=2, max_value=6)
 
@@ -81,10 +73,8 @@ def stacks(draw):
 @given(stacks())
 def test_stacked_gram_test_matches_single_rows(case):
     n, rows, boundary = case
-    screen = triangle_screen(n, rows)
     batched = gram_only(n, rows)
-    assert screen.shape == batched.shape == (len(rows),)
-    assert (screen & batched).tolist() == batched.tolist()  # the triangle screen moves no decision
+    assert batched.shape == (len(rows),)
     for row, verdict, flat in zip(rows, batched, boundary):
         spec = SimplexSpec.from_vector(n, row.tolist())
         assert bool(verdict) == alone(n, row) == is_realizable(spec).realizable
@@ -97,13 +87,6 @@ def first_stacked_hit(n, rows):
     return int(hits[0]) if hits.size else None
 
 
-def first_screened_hit(n, rows):
-    """The start search's first hit: first_realizable on the rows that pass triangle_screen."""
-    screened = np.flatnonzero(triangle_screen(n, rows))
-    hit, _ = first_realizable(n, rows[screened])
-    return None if hit is None else int(screened[hit])
-
-
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_first_realizable_matches_stacked_test(case):
@@ -112,7 +95,7 @@ def test_first_realizable_matches_stacked_test(case):
     # every suffix moves the first hit; the rows that fail have none
     for start in range(len(rows)):
         hit = first_stacked_hit(n, rows[start:])
-        assert first_realizable(n, rows[start:])[0] == hit == first_screened_hit(n, rows[start:])
+        assert first_realizable(n, rows[start:])[0] == hit
     assert first_realizable(n, rows[~verdicts]) == (None, int((~verdicts).sum()))
 
 
@@ -139,37 +122,6 @@ def test_first_realizable_blocks(eigvalsh_rows, hit, count, tested):
     assert first_realizable(3, rows) == (hit, tested)
     assert hit == first_stacked_hit(3, rows)
     assert sum(eigvalsh_rows[:-1]) == tested  # the last call is first_stacked_hit's
-    assert hit == first_screened_hit(3, rows)
-
-
-# --- the triangle screen in front of the Gram test ---------------------------
-
-def triangle_low(n, row):
-    """Smallest eigenvalue of every triangle's 2x2 Gram matrix at its first vertex, by eigvalsh."""
-    d = squared_distance_matrix(n, np.asarray(row, dtype=float))
-    return min(
-        np.linalg.eigvalsh(np.array([
-            [d[i, j], (d[i, j] + d[i, k] - d[j, k]) / 2],
-            [(d[i, j] + d[i, k] - d[j, k]) / 2, d[i, k]],
-        ]))[0]
-        for i, j, k in combinations(range(n + 1), 3)
-    )
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-def test_triangle_screen_matches_gram_test_on_log_uniform_blocks(n):
-    rng = np.random.default_rng(100 + n)
-    rows = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(4000, comb(n + 1, 2))))
-    screen = triangle_screen(n, rows)
-    assert screen.sum() < len(rows) // 2  # most draws get no eigvalsh
-    # huge and tiny rescalings screen the same rows: the screen scales each row by its largest
-    for scale in (1.0, 1e-300, 1e300):
-        verdicts = gram_only(n, scale * rows)
-        assert triangle_screen(n, scale * rows).tolist() == screen.tolist()
-        assert (screen & verdicts).tolist() == verdicts.tolist()
-    # subnormal rows: the 1e-300 floor under the scale keeps the screen from rejecting any
-    tiny = 2.0**-1060 * rows
-    assert triangle_screen(n, tiny).all()
 
 
 def near_collinear(n, nudge):
@@ -184,34 +136,12 @@ def near_collinear(n, nudge):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_triangle_screen_keeps_rows_that_embed_within_tolerance(n):
-    # the triangle on the last three vertices misses vertex 1 (for n > 2) and is
-    # slightly negative, but the Gram test accepts: a screen without margin would not
+def test_gram_test_keeps_rows_that_embed_within_tolerance(n):
+    # the triangle on the last three vertices is slightly negative, but within the tolerance
     row = near_collinear(n, -1e-12)
-    assert triangle_low(n, row) < 0
-    assert gram_only(n, row)
-    assert triangle_screen(n, row[None]).tolist() == [True] and alone(n, row)
+    assert gram_only(n, row) and alone(n, row)
     far = near_collinear(n, -1e-3)  # well past the tolerance: both tests reject it
-    assert not gram_only(n, far) and not triangle_screen(n, far[None])[0] and not alone(n, far)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_triangle_screen_margin(eigvalsh_rows, n):
-    # unit lengths but one edge of squared length d; the triangles on it have
-    # lam = 2 - d/2 and every row has largest length d.  Each row puts lam / 3 at
-    # `factor` times the bar -TRIANGLE_SCREEN_MARGIN * (n+1) * d.
-    margin = TRIANGLE_SCREEN_MARGIN * (n + 1)
-    factors = [0.34, 0.99, 1.01, 3.0]
-    rows = np.ones((len(factors), comb(n + 1, 2)))
-    rows[:, -1] = [2 / (0.5 - 3 * factor * margin) for factor in factors]
-    for row, factor in zip(rows, factors):
-        assert triangle_low(n, row) / 3 / (-margin * row[-1]) == pytest.approx(factor, rel=1e-6)
-    eigvalsh_rows.clear()
-    screen = triangle_screen(n, rows)
-    assert screen.tolist() == [True, True, False, False]  # only the two rows above the bar
-    assert first_realizable(n, rows[screen]) == (None, 2)
-    assert eigvalsh_rows == [1, 1]  # get an eigvalsh, in blocks of 1 and 4
-    assert gram_only(n, rows).tolist() == [False] * 4
+    assert not gram_only(n, far) and not alone(n, far)
 
 
 @pytest.mark.parametrize("n, rows, verdicts", [
@@ -220,10 +150,9 @@ def test_triangle_screen_margin(eigvalsh_rows, n):
     (3, [[0.0] * 6, [0, 1, 1, 1, 1, 1], [0, 1, 4, 1, 1, 1]], [True, True, False]),
     (5, [[0.0] * 15], [True]),
 ])
-def test_triangle_screen_small_and_zero_rows(n, rows, verdicts):
+def test_gram_test_small_and_zero_rows(n, rows, verdicts):
     # zeros: coincident vertices; n = 1 has no triangle and n = 2 exactly one
     rows = np.array(rows)
-    assert (triangle_screen(n, rows) | ~np.array(verdicts)).all()
     assert gram_only(n, rows).tolist() == verdicts
     assert [alone(n, row) for row in rows] == verdicts
-    assert first_screened_hit(n, rows) == verdicts.index(True)
+    assert first_realizable(n, rows)[0] == verdicts.index(True)

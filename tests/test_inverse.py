@@ -3,6 +3,8 @@ from math import comb, inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facevol import (
     DegenerateFaceError,
@@ -10,7 +12,6 @@ from facevol import (
     InverseProblem,
     RealizabilityError,
     SimplexSpec,
-    StartDrawError,
     all_face_volumes,
     analytic_jacobian,
     basin_probe,
@@ -23,7 +24,8 @@ from facevol import (
     regular_simplex,
     solve,
 )
-from facevol import inverse
+from facevol import inverse, jacobian
+from facevol.simplex import first_realizable
 from conftest import perturbed_regular
 
 
@@ -118,7 +120,7 @@ def test_basin_probe_on_other_mirror_target():
     # the target built from the plus instance has the same two preimages
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.plus.spec, 2)
-    clusters = basin_probe(target, num_starts=20, seed=2)
+    clusters = basin_probe(target, num_starts=50, seed=2)
     assert len(clusters) >= 2
 
 
@@ -159,75 +161,59 @@ def test_result_serialization():
     assert len(data["squared_lengths"]) == 10
 
 
-def test_random_realizable_spec_is_seeded_and_in_range():
-    rng = np.random.default_rng(0)
-    spec = random_realizable_spec(4, rng)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_random_realizable_spec_is_seeded_with_median_one_and_embeds(n, seed):
+    spec = random_realizable_spec(n, np.random.default_rng(seed))
     values = spec.vector()
-    assert np.all(values >= 0.25) and np.all(values <= 4.0)
-    rng2 = np.random.default_rng(0)
-    assert np.array_equal(random_realizable_spec(4, rng2).vector(), values)
+    assert np.array_equal(random_realizable_spec(n, np.random.default_rng(seed)).vector(), values)
+    assert np.median(values) == pytest.approx(1.0, rel=1e-14)
+    # solve's start check: the lengths squared again, floored, and Gram-tested
+    squared = inverse._squared(np.sqrt(values))
+    assert first_realizable(n, squared[None]) == (0, 1)
 
 
-def reference_start(n, rng, max_tries=10000):
-    """Per-draw reference: log-uniform squared lengths, Gram eigvalsh test."""
-    low, high = np.log(0.25), np.log(4.0)
-    for _ in range(max_tries):
-        squared = np.exp(rng.uniform(low, high, size=comb(n + 1, 2)))
-        q = dict(zip(lex_pairs(n), squared))
-        q.update({(i, i): 0.0 for i in range(1, n + 2)})
-        gram = np.array([
-            [0.5 * (q[(1, i)] + q[(1, j)] - q[(min(i, j), max(i, j))]) for j in range(2, n + 2)]
-            for i in range(2, n + 2)
-        ])
-        if np.linalg.eigvalsh(gram)[0] >= -1e-10 * max(float(np.trace(gram)), 1e-300):
-            return squared
-    raise AssertionError("reference found no realizable draw")
+@pytest.mark.parametrize("n", [6, 7])
+def test_basin_probe_finds_a_preimage_at_6_and_7(n):
+    # every start embeds, whatever n; volumes are checked through the spec path
+    target = all_face_volumes(build_pair(n, float(family_constants(n).x_max) / 2).minus.spec, n - 2)
+    clusters = basin_probe(target, num_starts=10, seed=0)
+    assert clusters
+    for cluster in clusters:
+        values = all_face_volumes(cluster.solution, n - 2).vector()
+        assert np.linalg.norm(values - target.vector()) <= inverse.SOLVE_TOL
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_random_realizable_spec_matches_reference_loop(n):
-    # consecutive starts from one generator, as basin_probe draws them
-    for seed in range(20):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            spec = random_realizable_spec(n, rng)
-            assert np.array_equal(spec.vector(), reference_start(n, ref_rng))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.uniform() == ref_rng.uniform()  # same number of draws consumed
+def test_basin_probe_refuses_a_target_above_the_jacobian_dimension_limit(monkeypatch):
+    monkeypatch.setattr(jacobian, "MAX_JACOBIAN_N", 5)
+    assert len(basin_probe(regular_target(5), num_starts=1, seed=0)) == 1
+    monkeypatch.setattr(inverse, "solve", None)  # refused before any start is drawn
+    with pytest.raises(ValueError, match="^jacobian dimension 6 is above the limit of 5$"):
+        basin_probe(regular_target(6), num_starts=1, seed=0)
 
 
-@pytest.mark.parametrize("seed, starts", [(63, 1), (89, 1), (105, 2), (170, 2)])
-def test_random_realizable_spec_matches_reference_loop_at_6(seed, starts):
-    # about 1 in 30,000 draws embeds at n=6; these seeds hit at draws 255 (the
-    # last row of the first block), 91, 579 and 960, and 1567 and 2348
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(starts):
-        spec = random_realizable_spec(6, rng)
-        assert np.array_equal(spec.vector(), reference_start(6, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert rng.uniform() == ref_rng.uniform()
-
-
-def test_random_realizable_spec_failure_consumes_max_tries_draws(monkeypatch):
-    # 300 draws fill one block and part of a second; no draw embeds at n=6
-    assert inverse.START_BLOCK < 300 and 300 % inverse.START_BLOCK
-    monkeypatch.setattr(inverse, "MAX_START_DRAWS", 300)
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    with pytest.raises(StartDrawError, match="no realizable start in 300 draws"):
-        random_realizable_spec(6, rng)
-    with pytest.raises(AssertionError):
-        reference_start(6, ref_rng, max_tries=300)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_basin_probe_refuses_a_target_within_the_tolerance(monkeypatch):
+    # the regular 15-simplex's 120 volumes of dimension 13 have norm 7.3e-11:
+    # every start would count as converged after 0 iterations
+    target = regular_target(15)
+    with pytest.raises(ValueError, match="^target norm 7.27e-11 is at most the tolerance 1e-10: "):
+        basin_probe(target, num_starts=3, seed=0)
+    target = regular_target(4)
+    norm = float(np.linalg.norm(target.vector()))
+    assert basin_probe(target, num_starts=1, seed=0, tol=np.nextafter(norm, 0))
+    monkeypatch.setattr(inverse, "solve", None)  # refused before any start is drawn
+    with pytest.raises(ValueError, match="^target norm .* every start would converge$"):
+        basin_probe(target, num_starts=1, seed=0, tol=norm)
 
 
 def test_basin_probe_mirror_target_pinned_counts():
-    # cluster count and per-cluster iterations of the minor-per-entry
-    # Jacobian implementation; the batched kernel must not change them
+    # cluster count, per-cluster iterations and discovery order from the
+    # point-drawn starts of seed 0; a change to the solver must not move them
     pair = build_pair(4, Fraction(1, 2))
     clusters = basin_probe(all_face_volumes(pair.minus.spec, 2), num_starts=20, seed=0)
-    assert [c.iterations for c in clusters] == [6, 7]
+    assert [c.iterations for c in clusters] == [7, 7]
     specials = [np.sort(c.solution.vector())[-1] for c in clusters]
-    assert specials == pytest.approx([2.5, 1.5], abs=1e-8)
+    assert specials == pytest.approx([1.5, 2.5], abs=1e-8)
 
 
 def reference_solve(problem, max_halvings=None):
@@ -352,7 +338,11 @@ def test_stop_reason_at_iteration_limit():
     # from this start the solve converges in 6 rounds, none rejected
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
-    start = random_realizable_spec(4, np.random.default_rng(0))
+    start = SimplexSpec.from_vector(4, [
+        1.2193559408175352, 0.6102522288326675, 1.2988187534981954, 0.6380073290522675,
+        0.7404509127221259, 2.9507821386253448, 0.4693156171858172, 1.4071231318860635,
+        0.31557643281945197, 2.5150317112091183,
+    ])
     for max_iters, reason in ((0, "max_iters"), (5, "max_iters"), (6, "converged")):
         result = solve(InverseProblem(target=target, start=start, max_iters=max_iters))
         assert result.stop_reason == reason
@@ -365,8 +355,12 @@ def test_gram_rows_pinned_for_mirror_target(eigvalsh_rows):
     # block, and the 20-halving bound keeps it from a fourth
     pair = build_pair(4, Fraction(1, 2))
     target = all_face_volumes(pair.minus.spec, 2)
-    start = random_realizable_spec(4, np.random.default_rng(1))
-    eigvalsh_rows.clear()  # the start draw's tests
+    start = SimplexSpec.from_vector(4, [
+        0.5955074390040954, 1.2369600144624109, 3.6980376230219583, 2.141551749587279,
+        2.241610770385878, 2.0520615472146835, 1.3085335567266225, 3.183842630285077,
+        1.6917549640398706, 1.0009887243072404,
+    ])
+    eigvalsh_rows.clear()  # the Gram tests of build_pair and all_face_volumes
     result = solve(InverseProblem(target=target, start=start))
     assert (result.stop_reason, result.iterations) == ("step_stall", 11)
     assert result.gram_rows == sum(eigvalsh_rows) == 205
@@ -409,7 +403,12 @@ def test_rejected_trials_compute_no_inverse(monkeypatch):
     monkeypatch.setattr(inverse, "point_volumes", counting_volumes)
     x = float(family_constants(5).x_max) / 2
     target = all_face_volumes(build_pair(5, x).minus.spec, 3)
-    start = random_realizable_spec(5, np.random.default_rng(1))
+    start = SimplexSpec.from_vector(5, [
+        0.319346393287435, 0.32751426846484616, 1.2651751263786597, 0.3534468840262511,
+        1.2157223112136195, 0.609603733721746, 1.3069278094375196, 0.4870515021001123,
+        1.8239505579595152, 1.4051315711357126, 0.6465265936446333, 0.8006804348538005,
+        1.4058487406585432, 2.968606780734327, 0.7887677395713256,
+    ])
     result = solve(InverseProblem(target=target, start=start))
     assert result.converged
     assert calls["volumes"] - 1 - result.iterations == 6  # rejected trials
