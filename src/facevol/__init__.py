@@ -7,7 +7,6 @@ from .family import (
     build_instance,
     build_pair,
     family_constants,
-    special_face_squared_volume,
     sweep_rows,
     two_value_check,
     verify_pair,
@@ -21,12 +20,9 @@ from .inverse import (
     solve,
 )
 from .jacobian import (
-    BoundaryError,
     DegenerateFaceError,
     RegularPointConstants,
     analytic_jacobian,
-    euler_identity_check,
-    fd_jacobian,
     jacobian_rank,
     regular_point_constants,
     verify_regular_point,
@@ -37,8 +33,6 @@ from .kneser import (
     SpectrumSpec,
     build_kneser_adjacency,
     exact_determinant,
-    line_graph_adjacency,
-    line_graph_complement_check,
     multiplicities_from_traces,
     predicted_eigenvalues,
     predicted_spectrum,

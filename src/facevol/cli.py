@@ -95,7 +95,7 @@ def _emit(text: str, output_path) -> None:
 
 def _cmd_volume(args) -> tuple[int, dict]:
     spec = simplex.load_spec(args.input)
-    face = _parse_face(args.face, spec.n) if args.face else tuple(range(1, spec.n + 2))
+    face = _parse_face(args.face, spec.n) if args.face is not None else tuple(range(1, spec.n + 2))
     sq = float(simplex.squared_volume(spec, face))
     report = {
         "n": spec.n,

@@ -124,22 +124,6 @@ def family_constants(n: int) -> FamilyConstants:
     )
 
 
-def special_face_squared_volume(n: int, t):
-    """Squared (n-2)-volume of a face containing both special vertices.
-
-    Equals ((3-n)*t^2 + (2n-4)*t) / (2^(n-2) * ((n-2)!)^2); exact for
-    exact t.  Defined for every t; positive exactly on (0, 2*t0), where
-    the face itself embeds (a superset of the full simplex's range).
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    poly = (3 - n) * t * t + (2 * n - 4) * t
-    denom = _gram_denominator(n - 2)
-    if isinstance(poly, (int, Fraction)):
-        return Fraction(poly, denom)
-    return poly / denom
-
-
 def build_instance(n: int, t) -> FamilyInstance:
     """T(t); raises ValueError unless t lies in the open interval where it embeds."""
     return FamilyInstance(n=n, t=t)

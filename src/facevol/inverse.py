@@ -76,8 +76,10 @@ def solve(problem: InverseProblem) -> SolveResult:
     its face volumes; only the start and accepted trial points get a
     Jacobian, from the same CM stack.  The point is kept as squared
     lengths; a spec is built only for the solution.  The damping starts at
-    1e-3 * trace(J'J)/dim.  ValueError for a target that is not the (n-2)-face
-    volumes of an n-simplex, or a start of another dimension.
+    1e-3 * trace(J'J)/dim; a damped system that is singular counts as a
+    rejected trial, which raises the damping.  ValueError for a target
+    that is not the (n-2)-face volumes of an n-simplex, or a start of
+    another dimension.
     """
     n = problem.target.n
     dim = comb(n + 1, 2)
@@ -114,18 +116,22 @@ def solve(problem: InverseProblem) -> SolveResult:
         if mu <= 0.0:
             mu = 1e-3 * float(np.trace(normal)) / dim
 
-        step = np.linalg.solve(normal + mu * identity, jac.T @ (target - values))
-        scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
-        trials = _squared(lengths + scales[:, None] * step)
-        hit, tested = first_realizable(n, trials)
-        gram_rows += tested
-        if hit is None:
-            stop = "step_stall"
-            break
+        try:
+            step = np.linalg.solve(normal + mu * identity, jac.T @ (target - values))
+        except np.linalg.LinAlgError:  # a singular damped system is a rejected trial
+            trial_norm = np.inf
+        else:
+            scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
+            trials = _squared(lengths + scales[:, None] * step)
+            hit, tested = first_realizable(n, trials)
+            gram_rows += tested
+            if hit is None:
+                stop = "step_stall"
+                break
+            trial = trials[hit]
+            trial_values, trial_stack = point_volumes(n, trial)
+            trial_norm = float(np.linalg.norm(trial_values - target))
 
-        trial = trials[hit]
-        trial_values, trial_stack = point_volumes(n, trial)
-        trial_norm = float(np.linalg.norm(trial_values - target))
         if trial_norm <= norm:
             squared, lengths = trial, np.sqrt(trial)
             values, jac = trial_values, point_jacobian(n, trial_stack, trial_values)

@@ -3,13 +3,12 @@
 Rows are (n-2)-faces keyed by complementary 2-subsets, columns are edges,
 both in lexicographic order.  Entries are derivatives with respect to the
 plain (not squared) edge length, obtained by cofactor differentiation of
-the Cayley-Menger determinant; a central-difference Jacobian serves as an
-independent cross-check.  At the all-unit-edges simplex the Jacobian is a
-known constant times the Kneser adjacency matrix for k=2: by symmetry one
-face's gradient fixes it, and the exact Kneser spectrum certifies its rank
-(hence local algebraic independence of the face volumes).  From n = 94 on
-that face's squared volume underflows a normal double, and the check is
-refused with a ValueError.
+the Cayley-Menger determinant.  At the all-unit-edges simplex the
+Jacobian is a known constant times the Kneser adjacency matrix for k=2:
+by symmetry one face's gradient fixes it, and the exact Kneser spectrum
+certifies its rank (hence local algebraic independence of the face
+volumes).  From n = 94 on that face's squared volume underflows a normal
+double, and the check is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     ZERO_VOLUME_REL_TOL,
-    all_face_volumes,
     build_cm_matrix,
     cm_squared_volumes,
     cm_stack,
-    face_edges,
-    face_stack,
     face_vertices,
     face_volumes,
     is_realizable,
@@ -44,15 +40,10 @@ RANK_THRESHOLD = 1e-8  # singular values above this times the largest count towa
 # as n^6: jacobian_rank at n = 50 takes 0.8 s and 138 MB (2-vCPU VM, one BLAS thread).
 MAX_JACOBIAN_N = 50
 REGULAR_POINT_TOL = 1e-9  # default of verify_regular_point, relative to the constant
-FD_STEP_FACTOR = 1e-6
 
 
 class DegenerateFaceError(ValueError):
     """A face has zero volume, so the volume derivative is undefined."""
-
-
-class BoundaryError(ValueError):
-    """A finite-difference perturbation left the realizable region."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +79,14 @@ def _jacobian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian row and column of each entry of the (n-2)-face gradients.
 
     Gradient entry [f, e] is the derivative of face f (complement-key
-    order) along the face's e-th edge (lexicographic order).
+    order) along the face's e-th edge (lexicographic order).  Its column is
+    that edge's lex-pair id, gathered from an id matrix at the CM positions
+    that _gradients reads.  Both arrays are cached per n and read-only.
     """
-    cols = face_edges(n, n - 2)
+    ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=np.intp)
+    a, b = _edge_positions(n - 1)
+    cols = cm_stack(ids, face_vertices(n, n - 2))[:, a, b]
+    cols.setflags(write=False)
     return np.broadcast_to(np.arange(len(cols))[:, None], cols.shape), cols
 
 
@@ -187,35 +183,6 @@ def point_jacobian(n: int, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray
         return None
 
 
-def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian, perturbing each plain edge length by +-step."""
-    n = spec.n
-    lengths = np.sqrt(spec.vector())
-    if step is None:
-        step = FD_STEP_FACTOR * float(lengths.mean())
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-
-    def volumes_at(ls: np.ndarray) -> np.ndarray:
-        perturbed = SimplexSpec.from_vector(n, (ls**2).tolist())
-        try:
-            return all_face_volumes(perturbed, n - 2).vector()
-        except RealizabilityError as exc:
-            raise BoundaryError(
-                f"perturbation by step {step} left the realizable region"
-            ) from exc
-
-    jac = np.empty((len(lengths), len(lengths)))
-    for idx in range(len(lengths)):
-        bumped = lengths.copy()
-        bumped[idx] = lengths[idx] + step
-        upper = volumes_at(bumped)
-        bumped[idx] = lengths[idx] - step
-        lower = volumes_at(bumped)
-        jac[:, idx] = (upper - lower) / (2.0 * step)
-    return jac
-
-
 def jacobian_rank(spec: SimplexSpec):
     """Numerical rank (RANK_THRESHOLD) and min/max singular value ratio of the Jacobian.
 
@@ -270,23 +237,3 @@ def verify_regular_point(n: int, tol: float = REGULAR_POINT_TOL) -> dict:
         "tol": tol,
         "passed": bool(deviation <= tol * constants.scale and rank == comb(n + 1, 2)),
     }
-
-
-def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
-    """Max over faces of |sum_e l_e * dV/dl_e - face_dim * V|.
-
-    Volume is homogeneous of degree face_dim in the edge lengths, so the residual
-    vanishes up to round-off.  A negative face raises as face_volumes does, and
-    then a degenerate one DegenerateFaceError.
-    """
-    n = spec.n
-    if not 1 <= face_dim <= n:
-        raise ValueError(f"face_dim must be in 1..{n}, got {face_dim}")
-    if not is_realizable(spec):
-        raise RealizabilityError("spec is not realizable")
-    faces = face_vertices(n, face_dim)
-    stack, sq = face_stack(spec, faces)
-    volumes = face_volumes(faces, stack, sq)
-    a, b = _edge_positions(faces.shape[1])
-    weighted = (np.sqrt(stack[:, a, b]) * _gradients(faces, stack, volumes)).sum(axis=1)
-    return float(np.abs(weighted - face_dim * volumes).max())

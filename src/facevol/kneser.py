@@ -1,4 +1,4 @@
-"""Exact spectra of Kneser graphs K(n+1,k) and line graphs of complete graphs.
+"""Exact spectra of Kneser graphs K(n+1,k).
 
 Vertices are the k-subsets of {1,...,n+1} in lexicographic order; two
 subsets are adjacent iff disjoint.  The spectrum is certified once, with
@@ -152,29 +152,6 @@ def verify_annihilation(adj: KneserAdjacency, spectrum: SpectrumSpec) -> bool:
 def exact_determinant(adj: KneserAdjacency) -> int:
     """Signed determinant of the adjacency matrix, exact."""
     return int_determinant(adj.matrix.tolist())
-
-
-def line_graph_adjacency(n: int) -> np.ndarray:
-    """Adjacency of L(K_{n+1}) on 2-subsets: 1 iff the subsets share one element."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return (_intersection_sizes(n, 2)[1] == 1).astype(np.int64)
-
-
-def line_graph_complement_check(n: int) -> bool:
-    """Certify A + M + I = all-ones and the eigenvalue translation it implies.
-
-    A is the line graph of the complete graph on n+1 vertices, M the
-    Kneser adjacency for k=2.  The translation sends the line-graph
-    eigenvalues t = (2n-2, -2, n-3) to binomial(n+1,2)-t1-1 and -t_i-1.
-    """
-    a = line_graph_adjacency(n)
-    m = build_kneser_adjacency(n, 2).matrix
-    identity_holds = bool(np.all(a + m + np.eye(len(a), dtype=np.int64) == 1))
-    t1, t2, t3 = 2 * n - 2, -2, n - 3
-    translated = [comb(n + 1, 2) - t1 - 1, -t2 - 1, -t3 - 1]
-    translation_holds = translated == [comb(n - 1, 2), 1, 2 - n]
-    return identity_holds and translation_holds
 
 
 def product_rule(n: int, k: int) -> list[list[int]]:

@@ -32,7 +32,12 @@ from .exact import bareiss_determinants
 
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
 ZERO_VOLUME_REL_TOL = 1e-12
-MAX_FACES = 50_000  # most faces all_face_volumes computes in one call
+# Most entries all_face_volumes allocates in one call: C(n+1, d+1) faces, each
+# with a CM matrix of (d+2)^2 entries and a complement key of n-d vertices.
+# At the limit a float spec takes at most 0.2 s and 88 MB (d = n-2 at n = 52,
+# triangles at n = 66, edges at n = 197), the exact regular 52-simplex at
+# d = 50 takes 5.1 s and 193 MB (2-vCPU VM).
+MAX_FACE_ENTRIES = 4_000_000
 
 
 class RealizabilityError(ValueError):
@@ -86,22 +91,6 @@ def face_vertices(n: int, face_dim: int) -> np.ndarray:
     faces = np.array(subsets, dtype=np.intp).reshape(len(subsets), face_dim + 1) - 1
     faces.setflags(write=False)
     return faces
-
-
-@cache
-def face_edges(n: int, face_dim: int) -> np.ndarray:
-    """Lex-pair index of each edge of every dimension-`face_dim` face.
-
-    One row per face, in face_vertices order, holding the face's edges in
-    lex order, read from one matrix of edge ids.  The array is cached per
-    (n, face_dim) and read-only.
-    """
-    ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=np.intp)
-    faces = face_vertices(n, face_dim)
-    a, b = np.triu_indices(face_dim + 1, 1)
-    edges = ids[faces[:, a], faces[:, b]]
-    edges.setflags(write=False)
-    return edges
 
 
 def _is_exact(value) -> bool:
@@ -456,21 +445,23 @@ def all_face_volumes(spec: SimplexSpec, face_dim: int) -> FaceVolumeVector:
     """Volumes of every dimension-`face_dim` face, keyed by complement subsets.
 
     Checks the range of face_dim, then that the C(n+1, face_dim+1) faces
-    are at most MAX_FACES (ValueError), then the Gram test: a spec that does
-    not embed (is_realizable) raises RealizabilityError "spec is not
-    realizable" before any face is computed.  Only the requested faces are
-    computed; a face with negative squared volume beyond round-off, which the
-    Gram test let pass, raises as face_volumes does.  A squared volume <= 0
-    reads 0, so exact degenerate faces get volume 0; float round-off stays.
+    need at most MAX_FACE_ENTRIES entries (ValueError), then the Gram test:
+    a spec that does not embed (is_realizable) raises RealizabilityError
+    "spec is not realizable" before any face is computed.  Only the
+    requested faces are computed; a face with negative squared volume
+    beyond round-off, which the Gram test let pass, raises as face_volumes
+    does.  A squared volume <= 0 reads 0, so exact degenerate faces get
+    volume 0; float round-off stays.
     """
     n = spec.n
     if not 0 <= face_dim <= n:
         raise ValueError(f"face_dim must be in 0..{n}, got {face_dim}")
     count = comb(n + 1, face_dim + 1)
-    if count > MAX_FACES:
+    entries = count * ((face_dim + 2) ** 2 + n - face_dim)
+    if entries > MAX_FACE_ENTRIES:
         raise ValueError(
-            f"the {n}-simplex has {count} faces of dimension {face_dim}, "
-            f"above the limit of {MAX_FACES}"
+            f"the {n}-simplex's {count} faces of dimension {face_dim} need {entries} "
+            f"entries, above the limit of {MAX_FACE_ENTRIES}"
         )
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")

@@ -18,23 +18,21 @@ from facevol import (
     build_instance,
     build_kneser_adjacency,
     build_pair,
-    euler_identity_check,
     exact_determinant,
     family_constants,
-    fd_jacobian,
     jacobian_rank,
     multiplicities_from_traces,
     predicted_eigenvalues,
     predicted_spectrum,
     regular_simplex,
     solve,
-    special_face_squared_volume,
     squared_volume,
     verify_annihilation,
     verify_regular_point,
 )
 from facevol.inverse import InverseProblem
 from conftest import perturbed_regular
+from oracles import euler_identity_check, fd_jacobian, special_face_squared_volume
 
 
 def test_criterion_1_determinant_identity():

@@ -6,7 +6,7 @@ import pytest
 
 from facevol import SpectrumSpec, family, jacobian, kneser, simplex
 from facevol.cli import build_parser, main
-from conftest import FLAT_4_SIMPLEX, whole_only_spec
+from conftest import FLAT_4_SIMPLEX, SINGULAR_STEP_TARGET, whole_only_spec
 
 
 def run(capsys, *argv):
@@ -47,6 +47,15 @@ def test_volume_face_outside_vertex_range_is_usage_error(capsys, tri_path, face)
     assert out == ""
     assert err.startswith("facevol volume:") and "1..3" in err
     assert err.count("\n") == 1
+
+
+def test_volume_empty_face_is_usage_error(capsys, tri_path, tmp_path):
+    out_path = tmp_path / "never.json"
+    argv = ["volume", "--input", tri_path, "--face", "", "--output", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "facevol volume: bad face ''; expected comma-separated vertex labels\n"
+    assert not out_path.exists()
 
 
 def test_volume_accepts_rational_strings(capsys, tmp_path):
@@ -332,7 +341,8 @@ def test_face_count_limit_is_one_line_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == (
-        "facevol faces: the 18-simplex has 92378 faces of dimension 9, above the limit of 50000\n"
+        "facevol faces: the 18-simplex's 92378 faces of dimension 9 need 12009140 entries, "
+        "above the limit of 4000000\n"
     )
     assert not out_path.exists()
 
@@ -392,6 +402,13 @@ def test_invert_regular_6_simplex_finds_a_preimage(capsys, tmp_path):
     assert code == 0 and err == ""
     clusters = json.loads(out)["clusters"]
     assert clusters and all(cluster["converged"] for cluster in clusters)
+
+
+def test_invert_survives_a_singular_damped_system(capsys, tmp_path):
+    path = write_spec(tmp_path, "flat.json", {"n": 4, "squared_lengths": SINGULAR_STEP_TARGET})
+    code, out, err = run(capsys, "invert", "--input", path, "--starts", "8", "--seed", "0")
+    assert code != 2 and err == ""
+    assert json.loads(out)["starts"] == 8
 
 
 def test_invert_dimension_limit_is_one_line_usage_error(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from facevol import (
     build_pair,
     family_constants,
     is_realizable,
-    special_face_squared_volume,
     squared_volume,
     sweep_rows,
     two_value_check,
@@ -20,6 +19,7 @@ from facevol import (
     vertices_to_spec,
 )
 from conftest import circle_instance
+from oracles import special_face_squared_volume
 
 
 def test_constants_n4():

@@ -26,7 +26,7 @@ from facevol import (
 )
 from facevol import inverse, jacobian
 from facevol.simplex import first_realizable
-from conftest import perturbed_regular
+from conftest import SINGULAR_STEP_START, SINGULAR_STEP_TARGET, perturbed_regular
 
 
 def regular_target(n):
@@ -413,3 +413,21 @@ def test_rejected_trials_compute_no_inverse(monkeypatch):
     assert result.converged
     assert calls["volumes"] - 1 - result.iterations == 6  # rejected trials
     assert calls["inv"] == 1 + result.iterations  # the start and each accepted trial
+
+
+def test_singular_damped_system_is_a_rejected_trial():
+    target = all_face_volumes(SimplexSpec.from_vector(4, SINGULAR_STEP_TARGET), 2)
+    start = SimplexSpec.from_vector(4, SINGULAR_STEP_START)
+    for max_iters in (100, 200):
+        result = solve(InverseProblem(target=target, start=start, max_iters=max_iters))
+        assert (result.stop_reason, result.iterations) == ("step_stall", 37)
+
+
+def test_damping_overflows_when_every_damped_system_is_singular(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    target = all_face_volumes(build_pair(4, Fraction(1, 2)).minus.spec, 2)
+    result = solve(InverseProblem(target=target, start=regular_simplex(4)))
+    assert (result.stop_reason, result.iterations, result.gram_rows) == ("damping_overflow", 0, 1)

@@ -3,9 +3,10 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facevol import (
-    BoundaryError,
     DegenerateFaceError,
     RealizabilityError,
     SimplexSpec,
@@ -14,10 +15,8 @@ from facevol import (
     build_cm_matrix,
     build_instance,
     build_kneser_adjacency,
-    euler_identity_check,
     face_complement,
     family_constants,
-    fd_jacobian,
     is_realizable,
     jacobian_rank,
     k_subsets,
@@ -31,6 +30,7 @@ from facevol import jacobian, kneser
 from facevol.jacobian import RANK_THRESHOLD, point_jacobian, point_volumes
 from facevol.simplex import ZERO_VOLUME_REL_TOL, face_stack, face_vertices, volume_scales
 from conftest import FLAT_4_SIMPLEX, perturbed_regular
+from oracles import BoundaryError, euler_identity_check, fd_jacobian
 
 
 def test_regular_point_constants():
@@ -76,6 +76,17 @@ def test_sparsity_is_exact_on_random_spec():
                 assert jac[row, col] == 0.0
             else:
                 assert jac[row, col] != 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=3, max_value=16))
+def test_jacobian_index_is_lex_pair_indices(n):
+    rows, cols = jacobian._jacobian_index(n)
+    assert not rows.flags.writeable and not cols.flags.writeable
+    index = {pair: m for m, pair in enumerate(lex_pairs(n))}
+    faces = [face_complement(n, key) for key in k_subsets(n, 2)]
+    assert rows.tolist() == [[row] * comb(n - 1, 2) for row in range(len(faces))]
+    assert cols.tolist() == [[index[pair] for pair in combinations(face, 2)] for face in faces]
 
 
 def test_fd_agreement_random_n5():

@@ -10,8 +10,6 @@ from facevol import (
     build_kneser_adjacency,
     exact_determinant,
     kneser,
-    line_graph_adjacency,
-    line_graph_complement_check,
     multiplicities_from_traces,
     predicted_eigenvalues,
     predicted_spectrum,
@@ -19,6 +17,7 @@ from facevol import (
     verify_annihilation,
 )
 from facevol.exact import exact_matmul
+from oracles import line_graph_adjacency, line_graph_complement_check
 
 # the (n, k) of every spectrum request in the certify-volumes bench workload
 BENCH_CASES = [(n, 2) for n in range(4, 13)] + [(n, 3) for n in range(6, 13)] + [(8, 4), (9, 4)]

@@ -25,7 +25,7 @@ from facevol import (
 )
 from facevol.exact import fraction_determinant
 from facevol import simplex
-from facevol.simplex import face_edges, face_stack, face_vertices, squared_volumes
+from facevol.simplex import face_stack, face_vertices, squared_volumes
 from conftest import circle_instance, coordinate_volume_sq, perturbed_regular, whole_only_spec
 
 
@@ -152,16 +152,6 @@ def test_face_vertices_are_the_complements_of_the_keys(n):
         assert (faces + 1).tolist() == complements
 
 
-def test_face_edges_are_lex_pair_indices():
-    for n in range(1, 8):
-        index = {pair: m for m, pair in enumerate(lex_pairs(n))}
-        for d in range(n + 2):  # d = n + 1 has no face
-            edges = face_edges(n, d)
-            assert not edges.flags.writeable
-            faces = (face_vertices(n, d) + 1).tolist()
-            assert edges.tolist() == [[index[pair] for pair in combinations(f, 2)] for f in faces]
-
-
 def test_negative_face_that_passes_the_gram_test_is_named():
     # the unit square as a flat tetrahedron, its diagonal 24 stretched by 1e-10:
     # the Gram test passes within its tolerance, the whole face does not
@@ -176,18 +166,26 @@ def test_face_count_limit_is_checked_before_the_gram_test(monkeypatch):
     calls = []
     realizable = simplex.is_realizable
     monkeypatch.setattr(simplex, "is_realizable", lambda spec: calls.append(1) or realizable(spec))
-    message = "^the 18-simplex has 92378 faces of dimension 9, above the limit of 50000$"
+    message = (
+        "^the 18-simplex's 92378 faces of dimension 9 need 12009140 entries, "
+        "above the limit of 4000000$"
+    )
     with pytest.raises(ValueError, match=message):
         all_face_volumes(whole_only_spec(18), 9)
     assert calls == []
 
 
 def test_face_count_limit_boundary(monkeypatch):
-    monkeypatch.setattr(simplex, "MAX_FACES", 10)
+    # 10 triangles of the 4-simplex, each a 4x4 CM matrix and a 2-vertex key
+    monkeypatch.setattr(simplex, "MAX_FACE_ENTRIES", 180)
     assert len(all_face_volumes(regular_simplex(4), 2)) == 10
-    message = "^the 5-simplex has 15 faces of dimension 1, above the limit of 10$"
+    monkeypatch.setattr(simplex, "MAX_FACE_ENTRIES", 179)
+    calls = []
+    monkeypatch.setattr(simplex, "is_realizable", lambda spec: calls.append(1))
+    message = "^the 4-simplex's 10 faces of dimension 2 need 180 entries, above the limit of 179$"
     with pytest.raises(ValueError, match=message):
-        all_face_volumes(regular_simplex(5), 1)
+        all_face_volumes(regular_simplex(4), 2)
+    assert calls == []
 
 
 def test_realizable_stretched_instance_with_rank_oracle():
