@@ -21,7 +21,7 @@ codimension-2 face onto one of equal volume.  The faces, keyed by their
 complementary vertex pairs, fall into three orbits by how many special
 vertices the key holds: 2 (the base, 1 face), 1 (2(n-1) faces) or 0
 (C(n-1,2) faces containing both special vertices).  Within an orbit the
-sorted vertex lists even give literally the same Cayley-Menger matrix, and
+sorted vertex lists even give literally the same doubled Gram matrix, and
 the first two orbits share the regular face's matrix, which holds no t:
 it is the special face of the regular simplex T(1).  So the regular volume
 is computed once per call and the special one once per t; repeated by the
@@ -41,7 +41,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .simplex import (
-    SimplexSpec, _gram_denominator, cm_squared_volumes, cm_stack, exact_floats, lex_pairs,
+    SimplexSpec, _gram_denominator, exact_floats, face_grams, gram_squared_volumes, lex_pairs,
 )
 
 # Largest family dimension and most pairs in one sweep.  The largest sweep
@@ -168,7 +168,7 @@ def _squared_volumes(n: int, ts: list, faces: np.ndarray) -> np.ndarray:
     """Squared volumes of the faces of T(t) as floats, one row per t.
 
     Exact t (all Fractions) take one stacked Bareiss elimination, float t
-    one batched determinant.
+    one batched determinant, both of the same doubled Gram matrices.
     """
     off = 1 - np.eye(n + 1, dtype=int)
     if isinstance(ts[0], Fraction):
@@ -178,7 +178,7 @@ def _squared_volumes(n: int, ts: list, faces: np.ndarray) -> np.ndarray:
         return exact_floats(distances, faces, scales)
     distances = off * np.ones((len(ts), 1, 1))
     distances[:, n - 1, n] = distances[:, n, n - 1] = ts
-    return cm_squared_volumes(cm_stack(distances, faces))
+    return gram_squared_volumes(face_grams(distances, faces))
 
 
 def _face_volumes(n: int, ts: list) -> tuple[float, np.ndarray]:

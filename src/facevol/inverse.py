@@ -17,7 +17,7 @@ one within its tolerance, which every start would match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     first_realizable,
+    point_squared_distances,
     spec_to_json,
-    vertices_to_spec,
 )
 
 SQUARED_LENGTH_FLOOR = 1e-9
@@ -64,6 +64,11 @@ def _squared(lengths: np.ndarray) -> np.ndarray:
     return np.maximum(lengths**2, SQUARED_LENGTH_FLOOR)
 
 
+def _norm(vector: np.ndarray) -> float:
+    """Euclidean norm of a float vector, as np.linalg.norm computes it."""
+    return sqrt(vector.dot(vector))
+
+
 def solve(problem: InverseProblem) -> SolveResult:
     """Damped Gauss-Newton iteration for target = face volumes of dim n-2, n = target.n.
 
@@ -74,7 +79,7 @@ def solve(problem: InverseProblem) -> SolveResult:
     start that reaches the edge of the realizable region would otherwise
     accept ever-deeper halvings at a flat residual.  Every trial point gets
     its face volumes; only the start and accepted trial points get a
-    Jacobian, from the same CM stack.  The point is kept as squared
+    Jacobian, from the same Gram stack.  The point is kept as squared
     lengths; a spec is built only for the solution.  The damping starts at
     1e-3 * trace(J'J)/dim; a damped system that is singular counts as a
     rejected trial, which raises the damping.  ValueError for a target
@@ -96,9 +101,8 @@ def solve(problem: InverseProblem) -> SolveResult:
     gram_rows = 1
     values, stack = point_volumes(n, squared)
     jac = point_jacobian(n, stack, values)
-    norm = float(np.linalg.norm(values - target))
+    norm = _norm(values - target)
     trajectory = [norm]
-    identity = np.eye(dim)
     mu = 0.0
     iterations = 0
 
@@ -115,13 +119,14 @@ def solve(problem: InverseProblem) -> SolveResult:
         normal = jac.T @ jac
         if mu <= 0.0:
             mu = 1e-3 * float(np.trace(normal)) / dim
+        normal.flat[:: dim + 1] += mu  # the damping, on the diagonal
 
         try:
-            step = np.linalg.solve(normal + mu * identity, jac.T @ (target - values))
+            step = np.linalg.solve(normal, jac.T @ (target - values))
         except np.linalg.LinAlgError:  # a singular damped system is a rejected trial
             trial_norm = np.inf
         else:
-            scales = HALVINGS[np.linalg.norm(step) * HALVINGS > STEP_STALL]
+            scales = HALVINGS[_norm(step) * HALVINGS > STEP_STALL]
             trials = _squared(lengths + scales[:, None] * step)
             hit, tested = first_realizable(n, trials)
             gram_rows += tested
@@ -130,7 +135,7 @@ def solve(problem: InverseProblem) -> SolveResult:
                 break
             trial = trials[hit]
             trial_values, trial_stack = point_volumes(n, trial)
-            trial_norm = float(np.linalg.norm(trial_values - target))
+            trial_norm = _norm(trial_values - target)
 
         if trial_norm <= norm:
             squared, lengths = trial, np.sqrt(trial)
@@ -170,7 +175,7 @@ def random_realizable_spec(n: int, rng: np.random.Generator) -> SimplexSpec:
 
     Distances of points always embed (Schoenberg 1935): no draw is rejected.
     """
-    squared = vertices_to_spec(rng.standard_normal((n + 1, n))).vector()
+    squared = point_squared_distances(rng.standard_normal((n + 1, n)))
     return SimplexSpec.from_vector(n, (squared / np.median(squared)).tolist())
 
 

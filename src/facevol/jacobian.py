@@ -2,13 +2,20 @@
 
 Rows are (n-2)-faces keyed by complementary 2-subsets, columns are edges,
 both in lexicographic order.  Entries are derivatives with respect to the
-plain (not squared) edge length, obtained by cofactor differentiation of
-the Cayley-Menger determinant.  At the all-unit-edges simplex the
-Jacobian is a known constant times the Kneser adjacency matrix for k=2:
-by symmetry one face's gradient fixes it, and the exact Kneser spectrum
-certifies its rank (hence local algebraic independence of the face
-volumes).  From n = 94 on that face's squared volume underflows a normal
-double, and the check is refused with a ValueError.
+plain (not squared) edge length, in closed form from the inverse of each
+face's doubled Gram matrix H_ij = D_0i + D_0j - D_ij (i, j = 1..m, v_0 its
+first vertex).  V^2 = det H / (2^m (m!)^2), so d(V^2)/dD = V^2 tr(H^-1 dH/dD)
+(Jacobi).  dH/dD_0i = e_i 1' + 1 e_i', and D_ij (i != j) enters H_ij and
+H_ji with sign -1; with D = l^2, dV/dl = (l/V) d(V^2)/dD gives
+
+    dV/dl_0i = 2 V l_0i sum_j (H^-1)_ij,    dV/dl_ij = -2 V l_ij (H^-1)_ij,
+
+so one batched inverse gives every entry.  At the all-unit-edges simplex
+the Jacobian is a known constant times the Kneser adjacency matrix for
+k=2: by symmetry one face's gradient fixes it, and the exact Kneser
+spectrum certifies its rank (hence local algebraic independence of the
+face volumes).  From n = 94 on that face's squared volume underflows a
+normal double, and the check is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -25,11 +32,14 @@ from .simplex import (
     RealizabilityError,
     SimplexSpec,
     ZERO_VOLUME_REL_TOL,
-    build_cm_matrix,
-    cm_squared_volumes,
-    cm_stack,
+    _doubled_gram,
+    _face_row,
+    _pair_indices,
+    face_grams,
+    face_squared_lengths,
     face_vertices,
     face_volumes,
+    gram_squared_volumes,
     is_realizable,
     squared_distance_matrix,
     volume_scales,
@@ -37,7 +47,7 @@ from .simplex import (
 
 RANK_THRESHOLD = 1e-8  # singular values above this times the largest count toward the rank
 # Largest n of analytic_jacobian, whose dense C(n+1,2)^2 matrix and full SVD grow
-# as n^6: jacobian_rank at n = 50 takes 0.8 s and 138 MB (2-vCPU VM, one BLAS thread).
+# as n^6: jacobian_rank at n = 50 takes 0.9 s and 138 MB (2-vCPU VM, one BLAS thread).
 MAX_JACOBIAN_N = 50
 REGULAR_POINT_TOL = 1e-9  # default of verify_regular_point, relative to the constant
 
@@ -68,71 +78,79 @@ def regular_point_constants(n: int) -> RegularPointConstants:
 
 
 @cache
-def _edge_positions(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (a, b), a < b, of the edges of a size-vertex face in its CM matrix."""
-    a, b = np.triu_indices(size, 1)
-    return a + 1, b + 1
+def _gram_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids that gather the (n-2)-faces' squared lengths and doubled Gram matrices.
+
+    cols[f] lists face f's edges lexicographically, its m = n-2 base-vertex
+    edges first; pairs[f, i-1, j-1] is the id of edge (v_i, v_j), and of an
+    appended zero, C(n+1, 2), on the diagonal.  Cached per n, read-only, in
+    the smallest integer type that holds the ids (1/4 of intp at n = 50).
+    """
+    dim = comb(n + 1, 2)
+    ids = squared_distance_matrix(n, np.arange(dim), dtype=np.min_scalar_type(dim))
+    np.fill_diagonal(ids, dim)
+    faces = face_vertices(n, n - 2)
+    cols = face_squared_lengths(ids, faces)
+    pairs = ids[faces[:, 1:, None], faces[:, None, 1:]]
+    for index in (cols, pairs):
+        index.setflags(write=False)
+    return cols, pairs
 
 
 @cache
 def _jacobian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian row and column of each entry of the (n-2)-face gradients.
-
-    Gradient entry [f, e] is the derivative of face f (complement-key
-    order) along the face's e-th edge (lexicographic order).  Its column is
-    that edge's lex-pair id, gathered from an id matrix at the CM positions
-    that _gradients reads.  Both arrays are cached per n and read-only.
-    """
-    ids = squared_distance_matrix(n, np.arange(comb(n + 1, 2)), dtype=np.intp)
-    a, b = _edge_positions(n - 1)
-    cols = cm_stack(ids, face_vertices(n, n - 2))[:, a, b]
-    cols.setflags(write=False)
+    """Jacobian row (its face) and column (_gram_index's cols) of each (n-2)-face gradient entry."""
+    cols = _gram_index(n)[0]
     return np.broadcast_to(np.arange(len(cols))[:, None], cols.shape), cols
 
 
-def _gradients(faces: np.ndarray, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-    """Volume derivatives of each face with respect to its plain edge lengths.
+def _gradients(
+    faces: np.ndarray, grams: np.ndarray, squared: np.ndarray, volumes: np.ndarray
+) -> np.ndarray:
+    """Volume derivatives of each face along its edges, by the module docstring's closed form.
 
-    Takes the faces' float CM stack and their volumes from face_volumes.
-    One row per face, one column per edge inside the face in lexicographic
-    order.  dV/dl_e = 2 s_m cof_e l_e / V, with s_m the Cayley-Menger
-    prefactor and cof_e the cofactor at the position (a, b) of l_e^2 in the
-    face's CM matrix C.  The adjugate gives cof_e = det(C) (C^-1)_ab, and
-    s_m det(C) = V^2, so dV/dl_e = 2 V l_e (C^-1)_ab: one batched inverse
-    replaces a minor per entry.  Raises DegenerateFaceError at the first
-    face whose squared volume is at most ZERO_VOLUME_REL_TOL times its
-    volume_scales; the message names the face's vertices.
+    Takes the faces' float doubled Gram matrices, squared edge lengths
+    (face_squared_lengths) and volumes (face_volumes); one row per face, one
+    column per edge in lexicographic order, base-vertex edges first.  Raises
+    DegenerateFaceError at the first face whose squared volume is at most
+    ZERO_VOLUME_REL_TOL times its volume_scales, naming its vertices.
     """
-    degenerate = volumes**2 <= ZERO_VOLUME_REL_TOL * volume_scales(stack)
+    degenerate = volumes**2 <= ZERO_VOLUME_REL_TOL * volume_scales(squared)
     if degenerate.any():
         face = tuple((faces[int(np.argmax(degenerate))] + 1).tolist())
         raise DegenerateFaceError(f"face {face} is degenerate")
-    a, b = _edge_positions(faces.shape[1])
-    inverse = np.linalg.inv(stack)
-    return 2.0 * volumes[:, None] * np.sqrt(stack[:, a, b]) * inverse[:, a, b]
+    inverse = np.linalg.inv(grams)
+    m = grams.shape[-1]
+    i, j = _pair_indices(m - 1)  # entries above the diagonal, row by row
+    gradients = np.empty(squared.shape)
+    inverse.sum(axis=-1, out=gradients[:, :m])
+    np.negative(inverse[:, i, j], out=gradients[:, m:])
+    del inverse  # before the temporaries below, which reach 12 MB each at n = 50
+    gradients *= 2.0 * volumes[:, None] * np.sqrt(squared)
+    return gradients
 
 
-def _jacobian(n: int, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+def _jacobian(n: int, grams: np.ndarray, squared: np.ndarray, volumes: np.ndarray) -> np.ndarray:
     rows, cols = _jacobian_index(n)
     jac = np.zeros((len(volumes), comb(n + 1, 2)))
-    jac[rows, cols] = _gradients(face_vertices(n, n - 2), stack, volumes)
+    jac[rows, cols] = _gradients(face_vertices(n, n - 2), grams, squared, volumes)
     return jac
 
 
 def volume_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
     """Derivatives of the face volume with respect to its plain edge lengths.
 
-    dV/dl_e = 2 * s_m * cof_e * l_e / V, where s_m is the Cayley-Menger
-    prefactor and cof_e the cofactor at one of the two symmetric positions
-    of l_e^2.  Edges not inside the face have derivative 0 and are omitted.
+    Edges not inside the face have derivative 0 and are omitted.  Raises
+    RealizabilityError at a negative face, then DegenerateFaceError.
     """
     face = tuple(sorted(face))
     if len(face) < 2:
         return {}
-    faces = np.array([face]) - 1
-    stack = build_cm_matrix(spec, face).astype(float)[None]
-    volumes = face_volumes(faces, stack, cm_squared_volumes(stack))
-    return dict(zip(combinations(face, 2), _gradients(faces, stack, volumes)[0].tolist()))
+    faces = _face_row(spec, face)
+    grams = face_grams(spec.distance_matrix, faces)
+    squared = face_squared_lengths(spec.distance_matrix, faces)
+    volumes = face_volumes(faces, squared, gram_squared_volumes(grams))
+    return dict(zip(combinations(face, 2), _gradients(faces, grams, squared, volumes)[0].tolist()))
 
 
 def check_jacobian_dimension(n: int) -> None:
@@ -156,29 +174,34 @@ def analytic_jacobian(spec: SimplexSpec) -> np.ndarray:
     if n <= 2:
         return np.zeros((comb(n + 1, 2), comb(n + 1, 2)))
     volumes, stack = point_volumes(n, spec.vector())
-    return _jacobian(n, stack, volumes)
+    return _jacobian(n, *stack, volumes)
 
 
-def point_volumes(n: int, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n-2)-face volumes at one point and the faces' float CM stack (n >= 2).
+def point_volumes(n: int, squared: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(n-2)-face volumes at one point, and the faces' stack: (Gram matrices, squared lengths).
 
     `squared` holds float squared lengths in lex pair order, already known
-    to embed: there is no Gram check.  point_jacobian takes the stack and
-    the volumes.  Raises RealizabilityError at a face with negative squared
-    volume, as all_face_volumes does.
+    to embed: there is no Gram check.  The Gram matrices are gathered
+    through _gram_index, entry for entry those of face_grams.  Raises
+    RealizabilityError at a face with negative squared volume, as
+    all_face_volumes does.
     """
-    faces = face_vertices(n, n - 2)
-    stack = cm_stack(squared_distance_matrix(n, squared), faces)
-    return face_volumes(faces, stack, cm_squared_volumes(stack)), stack
+    cols, pairs = _gram_index(n)
+    face_squared = squared[cols]
+    grams = _doubled_gram(face_squared[:, : n - 2], np.concatenate((squared, [0.0]))[pairs])
+    volumes = face_volumes(face_vertices(n, n - 2), face_squared, gram_squared_volumes(grams))
+    return volumes, (grams, face_squared)
 
 
-def point_jacobian(n: int, stack: np.ndarray, volumes: np.ndarray) -> np.ndarray | None:
+def point_jacobian(
+    n: int, stack: tuple[np.ndarray, np.ndarray], volumes: np.ndarray
+) -> np.ndarray | None:
     """Jacobian of the (n-2)-face volumes from the stack and volumes of point_volumes.
 
     None when a face is degenerate.
     """
     try:
-        return _jacobian(n, stack, volumes)
+        return _jacobian(n, *stack, volumes)
     except DegenerateFaceError:
         return None
 
@@ -204,7 +227,7 @@ def verify_regular_point(n: int, tol: float = REGULAR_POINT_TOL) -> dict:
     is 0 unless they are disjoint (e then lies outside f), and one common value
     otherwise.  So J = scale * A_2, and one face's gradient fixes the value.
     That face, keyed by (1, 2), is a unit regular (n-2)-simplex: its
-    Cayley-Menger matrix is J - I of order n, built as it stands, with no
+    doubled Gram matrix is I + J of order n-2, built as it stands, with no
     spec of the whole simplex.  Checks n, then the Kneser order limit
     (spectrum_report), then the constants, then that the face's squared
     volume is a normal double: for n >= 94 it underflows (ValueError).  The
@@ -216,13 +239,14 @@ def verify_regular_point(n: int, tol: float = REGULAR_POINT_TOL) -> dict:
     spectrum = spectrum_report(n, 2)
     constants = regular_point_constants(n)
     face = np.arange(2, n + 1)[None]  # complement key (1, 2), 0-based vertices
-    stack = (1.0 - np.eye(n))[None]
-    sq = cm_squared_volumes(stack)
+    grams = (1.0 + np.eye(n - 2))[None]
+    squared = np.ones((1, comb(n - 1, 2)))
+    sq = gram_squared_volumes(grams)
     if sq[0] < np.finfo(float).tiny:
         raise ValueError(
             f"squared volume {sq[0]:.3g} of a unit {n - 2}-simplex underflows a normal double"
         )
-    gradient = _gradients(face, stack, face_volumes(face, stack, sq))
+    gradient = _gradients(face, grams, squared, face_volumes(face, squared, sq))
     deviation = float(np.abs(gradient - constants.scale).max())
     eigenvalues = zip(spectrum["eigenvalues"], spectrum["multiplicities"])
     nonzero = [(abs(lam), m) for lam, m in eigenvalues if lam]

@@ -1,14 +1,14 @@
 """Simplices given by squared edge lengths.
 
 A simplex on vertices 1..n+1 is described by the squared lengths of its
-binomial(n+1,2) edges.  Squared volumes of faces come from Cayley-Menger
-determinants; when every squared length is an int or Fraction the
-determinant is evaluated exactly, otherwise in floating point.  Each spec
-holds its squared distances as one symmetric matrix; the matrices of all
-faces of a dimension are gathered from it into one stack, so the float
-path is a single batched determinant of Cayley-Menger matrices and the
-exact path a single stacked Bareiss elimination of doubled Gram matrices,
-two orders smaller.
+binomial(n+1,2) edges.  An m-face's squared volume is the determinant of
+its doubled Gram matrix H over its first vertex, of order m, divided by
+2^m (m!)^2; when every squared length is an int or Fraction it is
+evaluated exactly, otherwise in floating point.  Each spec holds its
+squared distances as one symmetric matrix; the Gram matrices of all faces
+of a dimension are gathered from it into one stack, so the float path is
+a single batched determinant and the exact path a single stacked Bareiss
+elimination, both of the same matrices.
 
 Faces of dimension d are keyed by their complementary (n-d)-subset of the
 vertex set, in lexicographic order.  That ordering is shared with the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, factorial, isfinite, lcm, prod
+from math import comb, factorial, isfinite, isqrt, lcm, prod
 from numbers import Integral, Real
 
 import numpy as np
@@ -33,10 +33,10 @@ from .exact import bareiss_determinants
 REALIZABILITY_EIG_TOL = 1e-10  # relative to trace of the Gram matrix
 ZERO_VOLUME_REL_TOL = 1e-12
 # Most entries all_face_volumes allocates in one call: C(n+1, d+1) faces, each
-# with a CM matrix of (d+2)^2 entries and a complement key of n-d vertices.
-# At the limit a float spec takes at most 0.2 s and 88 MB (d = n-2 at n = 52,
-# triangles at n = 66, edges at n = 197), the exact regular 52-simplex at
-# d = 50 takes 5.1 s and 193 MB (2-vCPU VM).
+# counted at (d+2)^2 entries for its order-d Gram matrix and edge lengths, and a
+# complement key of n-d vertices.  At the limit a float spec takes at most
+# 0.12 s and 98 MB (d = n-2 at n = 52, triangles at n = 66, edges at n = 197),
+# the exact regular 52-simplex at d = 50 takes 4.7 s and 173 MB (2-vCPU VM).
 MAX_FACE_ENTRIES = 4_000_000
 
 
@@ -219,15 +219,19 @@ def regular_simplex(n: int) -> SimplexSpec:
     return SimplexSpec(n, {pair: 1 for pair in lex_pairs(n)})
 
 
+def point_squared_distances(points: np.ndarray) -> np.ndarray:
+    """Squared distances of n+1 points, one per row, in lex pair order."""
+    rows, cols = _pair_indices(len(points) - 1)
+    diff = points[rows] - points[cols]
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def vertices_to_spec(vertices) -> SimplexSpec:
     """Squared pairwise distances of n+1 points in n-dimensional space."""
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 1:
         raise ValueError(f"expected n+1 points with n coordinates, got shape {pts.shape}")
-    n = pts.shape[1]
-    rows, cols = _pair_indices(n)
-    diff = pts[rows] - pts[cols]
-    return SimplexSpec.from_vector(n, np.einsum("ij,ij->i", diff, diff).tolist())
+    return SimplexSpec.from_vector(pts.shape[1], point_squared_distances(pts).tolist())
 
 
 def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
@@ -237,21 +241,6 @@ def relabel(spec: SimplexSpec, perm: dict[int, int]) -> SimplexSpec:
         a, b = perm[i], perm[j]
         lengths[(min(a, b), max(a, b))] = value
     return SimplexSpec(spec.n, lengths)
-
-
-def cm_stack(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Cayley-Menger matrices of many faces at once, shape (..., faces, m+2, m+2).
-
-    `faces` holds one row of m+1 0-based vertex indices per face, and leading
-    axes of `distances` are batch axes.  Each matrix has a zero corner, a
-    border of ones in row/column 0, and the face's squared distances,
-    gathered from `distances` by fancy indexing.
-    """
-    count, size = faces.shape
-    stack = np.ones(distances.shape[:-2] + (count, size + 1, size + 1), dtype=distances.dtype)
-    stack[..., 0, 0] = 0
-    stack[..., 1:, 1:] = distances[..., faces[:, :, None], faces[:, None, :]]
-    return stack
 
 
 def _face_row(spec: SimplexSpec, face: tuple[int, ...]) -> np.ndarray:
@@ -273,18 +262,23 @@ def build_cm_matrix(spec: SimplexSpec, face) -> np.ndarray:
     face = tuple(sorted(face))
     if len(face) < 2:
         raise ValueError(f"face needs at least 2 vertices, got {face}")
-    faces = _face_row(spec, face)
-    if not spec.is_exact:
-        return cm_stack(spec.distance_matrix, faces)[0]
-    distances, scale = spec.exact_distances
-    return cm_stack(distances * Fraction(1, scale), faces)[0]
+    vertices = _face_row(spec, face)[0]
+    if spec.is_exact:
+        distances, scale = spec.exact_distances
+        distances = distances * Fraction(1, scale)
+    else:
+        distances = spec.distance_matrix
+    matrix = np.ones((len(face) + 1, len(face) + 1), dtype=distances.dtype)
+    matrix[0, 0] = 0
+    matrix[1:, 1:] = distances[np.ix_(vertices, vertices)]
+    return matrix
 
 
 def squared_volume(spec: SimplexSpec, face):
-    """Squared m-volume of the face via the Cayley-Menger determinant.
+    """Squared m-volume of the face from its doubled Gram matrix.
 
-    V^2 = (-1)^(m+1) / (2^m (m!)^2) * det C, a Fraction for exact specs and
-    a float otherwise.  Points (m=0) have squared volume 1 by convention;
+    V^2 = det H / (2^m (m!)^2), a Fraction for exact specs and a float
+    otherwise.  Points (m=0) have squared volume 1 by convention;
     the value may be negative for data that does not embed, callers decide
     how to treat that.
     """
@@ -300,36 +294,50 @@ def _gram_denominator(m: int) -> int:
     return 2**m * factorial(m) ** 2
 
 
-def cm_squared_volumes(stack: np.ndarray) -> np.ndarray:
-    """Squared volumes of the faces of a float CM stack, from one batched det.
+def _doubled_gram(base: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """2G over a base vertex: H_ij = D_0i + D_0j - D_ij from base (..., m) and rest (..., m, m)."""
+    base = np.ascontiguousarray(base)  # broadcasting a strided base is ~3x slower at n = 50
+    gram = base[..., :, None] + base[..., None, :]
+    gram -= rest
+    return gram
 
-    V^2 = (-1)^(m+1) / (2^m (m!)^2) * det C; the int division rounds the
-    prefactor correctly.  A point's matrix [[0, 1], [1, 0]] gives 1, the
-    m=0 convention.
+
+def face_grams(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Doubled Gram matrices of the faces over their first vertices, shape (..., faces, m, m).
+
+    `faces` holds one row of m+1 0-based vertices per face, and leading axes
+    of `distances` are batch axes; Python-int entries stay exact.  An
+    m-face's H has det H = (-1)^(m+1) det C = 2^m (m!)^2 V^2 for its
+    Cayley-Menger matrix C (Blumenthal 1953); a point's empty H has det 1.
     """
-    m = stack.shape[-1] - 2
-    return (-1) ** (m + 1) / _gram_denominator(m) * np.linalg.det(stack)
+    first, others = faces[:, :1], faces[:, 1:]
+    rest = distances[..., others[:, :, None], others[:, None, :]]
+    return _doubled_gram(distances[..., first, others], rest)
 
 
-def _doubled_gram(distances: np.ndarray) -> np.ndarray:
-    """2G on the first vertex of a squared-distance matrix (or a stack of them).
+def face_squared_lengths(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Squared lengths of each face's edges in lexicographic order, shape (faces, C(m+1, 2))."""
+    a, b = _pair_indices(faces.shape[1] - 1)
+    return distances[faces[:, a], faces[:, b]]
 
-    H_ij = D_0i + D_0j - D_ij for i, j >= 1, exact for Python-int entries.
+
+def gram_squared_volumes(grams: np.ndarray) -> np.ndarray:
+    """Squared volumes det H / (2^m (m!)^2) of faces from a float stack of their H.
+
+    One batched det; the int division rounds the prefactor correctly, to 0
+    past a double's range.
     """
-    base = distances[..., 0, 1:]
-    return base[..., :, None] + base[..., None, :] - distances[..., 1:, 1:]
+    return 1 / _gram_denominator(grams.shape[-1]) * np.linalg.det(grams)
 
 
 def exact_gram_determinants(distances: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Determinants of the faces' doubled Gram matrices over integer squared distances.
 
     `distances` holds Python ints (object dtype) and may have leading batch
-    axes; the result has shape (..., faces).  An m-face's order-m matrix H
-    has det H = (-1)^(m+1) det C = 2^m (m!)^2 V^2 for its order-(m+2)
-    Cayley-Menger matrix C (Blumenthal 1953), and a point's empty H has
-    det 1.  Every determinant comes from one stacked Bareiss elimination.
+    axes; the result has shape (..., faces).  Every determinant comes from
+    one stacked Bareiss elimination of face_grams.
     """
-    stack = _doubled_gram(distances[..., faces[:, :, None], faces[:, None, :]])
+    stack = face_grams(distances, faces)
     batch = stack.shape[:-2]
     return bareiss_determinants(stack.reshape(prod(batch), *stack.shape[-2:])).reshape(batch)
 
@@ -355,37 +363,38 @@ def squared_volumes(spec: SimplexSpec, faces: np.ndarray) -> np.ndarray:
     L^m, so V^2 = det H / (2^m (m!)^2 L^m).
     """
     if not spec.is_exact:
-        return cm_squared_volumes(cm_stack(spec.distance_matrix, faces))
+        return gram_squared_volumes(face_grams(spec.distance_matrix, faces))
     distances, scale = spec.exact_distances
     m = faces.shape[1] - 1
     return exact_gram_determinants(distances, faces) * Fraction(1, _gram_denominator(m) * scale**m)
 
 
 def face_stack(spec: SimplexSpec, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float CM stack of the faces and their squared volumes as floats.
+    """The faces' squared edge lengths (face_squared_lengths) and squared volumes, as floats.
 
     Exact squared volumes are rounded to float only at the end.
     """
-    stack = cm_stack(spec.distance_matrix, faces)
+    squared = face_squared_lengths(spec.distance_matrix, faces)
     if not spec.is_exact:
-        return stack, cm_squared_volumes(stack)
+        return squared, squared_volumes(spec, faces)
     distances, scale = spec.exact_distances
-    return stack, exact_floats(distances, faces, scale)
+    return squared, exact_floats(distances, faces, scale)
 
 
-def volume_scales(stack: np.ndarray) -> np.ndarray:
+def volume_scales(squared: np.ndarray) -> np.ndarray:
     """Magnitude of the largest monomial of each face's squared-volume polynomial.
 
-    Squared volumes are compared with ZERO_VOLUME_REL_TOL times this scale:
-    below minus that they are negative, up to it the face is degenerate.
+    `squared` holds each face's squared edge lengths, one row of C(m+1, 2)
+    per m-face.  Squared volumes are compared with ZERO_VOLUME_REL_TOL times
+    this scale: below minus that they are negative, up to it the face is
+    degenerate.
     """
-    m = stack.shape[-1] - 2
-    qmax = np.maximum(stack[:, 1:, 1:].max(axis=(1, 2)), 1.0)
-    return qmax**m / _gram_denominator(m)
+    m = (isqrt(8 * squared.shape[-1] + 1) - 1) // 2
+    return squared.max(axis=-1, initial=1.0) ** m / _gram_denominator(m)
 
 
-def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Volumes of the faces from their float CM stack and squared volumes.
+def face_volumes(faces: np.ndarray, squared: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Volumes of the faces from their squared edge lengths and squared volumes.
 
     A volume is the root of max(sq, 0): a squared volume <= 0 reads 0, so
     exact degenerate faces get 0, while float round-off stays (a Jacobian
@@ -393,7 +402,7 @@ def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.nda
     the order of `faces`, whose squared volume is below -ZERO_VOLUME_REL_TOL
     times its volume_scales; the message names the face's vertices.
     """
-    negative = sq < -ZERO_VOLUME_REL_TOL * volume_scales(stack)
+    negative = sq < -ZERO_VOLUME_REL_TOL * volume_scales(squared)
     if negative.any():
         index = int(np.argmax(negative))
         face = tuple((faces[index] + 1).tolist())
@@ -403,7 +412,7 @@ def face_volumes(faces: np.ndarray, stack: np.ndarray, sq: np.ndarray) -> np.nda
 
 def _gram_and_tolerance(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of squared-distance matrices and the eigenvalue tolerance of each."""
-    g = 0.5 * _doubled_gram(distances)
+    g = 0.5 * _doubled_gram(distances[..., 0, 1:], distances[..., 1:, 1:])
     trace = g.trace(0, -2, -1)  # offset 0 over the last two axes
     return g, REALIZABILITY_EIG_TOL * np.maximum(trace, 1e-300)
 
@@ -434,9 +443,9 @@ def first_realizable(n: int, rows: np.ndarray) -> tuple[int | None, int]:
     start, size = 0, 1
     while start < len(rows):
         stop = min(start + size, len(rows))
-        hits = np.flatnonzero(np.linalg.eigvalsh(g[start:stop])[:, 0] >= -tol[start:stop])
-        if hits.size:
-            return start + int(hits[0]), stop
+        embeds = np.linalg.eigvalsh(g[start:stop])[:, 0] >= -tol[start:stop]
+        if embeds.any():
+            return start + int(embeds.argmax()), stop
         start, size = stop, 4 * size
     return None, len(rows)
 

@@ -1,29 +1,36 @@
 """Independent references that the tests check the library against.
 
 None of these is called by the package: a central-difference Jacobian,
-Euler's identity for homogeneous face volumes, the line graph of the
-complete graph (the complement of the Kneser graph K(n+1,2)), and the
-closed form of the special face of the stretched-edge family T(t).
+a Jacobian from one Cayley-Menger minor per entry, Euler's identity for
+homogeneous face volumes, the line graph of the complete graph (the
+complement of the Kneser graph K(n+1,2)), and the closed form of the
+special face of the stretched-edge family T(t).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, factorial, sqrt
 
 import numpy as np
 
-from facevol.jacobian import _edge_positions, _gradients
+from facevol.jacobian import _gradients
 from facevol.kneser import _intersection_sizes, build_kneser_adjacency
 from facevol.simplex import (
     RealizabilityError,
     SimplexSpec,
     _gram_denominator,
     all_face_volumes,
+    build_cm_matrix,
+    face_complement,
+    face_grams,
     face_stack,
     face_vertices,
     face_volumes,
     is_realizable,
+    k_subsets,
+    lex_pairs,
 )
 
 FD_STEP_FACTOR = 1e-6
@@ -62,6 +69,36 @@ def fd_jacobian(spec: SimplexSpec, step: float | None = None) -> np.ndarray:
     return jac
 
 
+def minor_gradient(spec: SimplexSpec, face) -> dict[tuple[int, int], float]:
+    """dV/dl of the face's volume along each of its edges: one Cayley-Menger minor per entry.
+
+    dV/dl_e = 2 s_m cof_e l_e / V, with s_m the Cayley-Menger prefactor and
+    cof_e the cofactor at the position of l_e^2 in the face's matrix.
+    """
+    face = tuple(sorted(face))
+    m = len(face) - 1
+    cm = build_cm_matrix(spec, face).astype(float)
+    prefactor = (-1) ** (m + 1) / (2**m * factorial(m) ** 2)
+    vol = sqrt(prefactor * np.linalg.det(cm))
+    gradient = {}
+    for a, b in combinations(range(1, m + 2), 2):
+        minor = np.delete(np.delete(cm, a, axis=0), b, axis=1)
+        cof = (-1) ** (a + b) * np.linalg.det(minor)
+        gradient[face[a - 1], face[b - 1]] = 2.0 * prefactor * cof * sqrt(cm[a, b]) / vol
+    return gradient
+
+
+def minor_jacobian(spec: SimplexSpec) -> np.ndarray:
+    """Jacobian of the codimension-2 face volumes from minor_gradient, row by row."""
+    n = spec.n
+    edges = {pair: index for index, pair in enumerate(lex_pairs(n))}
+    jac = np.zeros((len(edges), len(edges)))
+    for row, key in enumerate(k_subsets(n, 2)):
+        for edge, value in minor_gradient(spec, face_complement(n, key)).items():
+            jac[row, edges[edge]] = value
+    return jac
+
+
 def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
     """Max over faces of |sum_e l_e * dV/dl_e - face_dim * V|.
 
@@ -75,10 +112,10 @@ def euler_identity_check(spec: SimplexSpec, face_dim: int) -> float:
     if not is_realizable(spec):
         raise RealizabilityError("spec is not realizable")
     faces = face_vertices(n, face_dim)
-    stack, sq = face_stack(spec, faces)
-    volumes = face_volumes(faces, stack, sq)
-    a, b = _edge_positions(faces.shape[1])
-    weighted = (np.sqrt(stack[:, a, b]) * _gradients(faces, stack, volumes)).sum(axis=1)
+    squared, sq = face_stack(spec, faces)
+    volumes = face_volumes(faces, squared, sq)
+    gradients = _gradients(faces, face_grams(spec.distance_matrix, faces), squared, volumes)
+    weighted = (np.sqrt(squared) * gradients).sum(axis=1)
     return float(np.abs(weighted - face_dim * volumes).max())
 
 

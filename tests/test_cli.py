@@ -406,7 +406,7 @@ def test_invert_regular_6_simplex_finds_a_preimage(capsys, tmp_path):
 
 def test_invert_survives_a_singular_damped_system(capsys, tmp_path):
     path = write_spec(tmp_path, "flat.json", {"n": 4, "squared_lengths": SINGULAR_STEP_TARGET})
-    code, out, err = run(capsys, "invert", "--input", path, "--starts", "8", "--seed", "0")
+    code, out, err = run(capsys, "invert", "--input", path, "--starts", "8", "--seed", "5")
     assert code != 2 and err == ""
     assert json.loads(out)["starts"] == 8
 

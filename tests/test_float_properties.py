@@ -1,7 +1,9 @@
 """Property tests of the float path: face volumes and the Jacobian follow
-vertex relabelling and scaling, and float specs survive JSON bit for bit."""
+vertex relabelling and scaling, float specs survive JSON bit for bit, and
+float squared volumes agree with the exact ones on the same dyadic input."""
 
 import json
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -17,6 +19,10 @@ from facevol import (
     relabel,
     spec_from_json,
     spec_to_json,
+    vertices_to_spec,
+)
+from facevol.simplex import (
+    ZERO_VOLUME_REL_TOL, face_squared_lengths, face_vertices, squared_volumes, volume_scales,
 )
 
 REL = 1e-12
@@ -82,3 +88,60 @@ def test_float_spec_survives_json_bit_for_bit(data):
     restored = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
     assert restored.n == n and not restored.is_exact
     assert restored.vector().tobytes() == spec.vector().tobytes()
+
+
+# Float squared volumes against the exact path on the float spec's own values:
+# Fraction(float) is lossless, so only the arithmetic differs.  Near-regular
+# rational specs agree to RATIONAL_REL relative to the value.  A near-degenerate
+# face has a volume far below its size, so there the bound is relative to
+# volume_scales, the size of its largest squared-volume monomial: the float
+# error stays below ZERO_VOLUME_REL_TOL times it, so that tolerance reads the
+# sign of every face right.
+RATIONAL_REL = 1e-13
+
+
+def exact_twin(spec: SimplexSpec) -> SimplexSpec:
+    return SimplexSpec.from_vector(spec.n, [Fraction(v) for v in spec.vector().tolist()])
+
+
+@st.composite
+def rational_specs(draw):
+    """Squared lengths 1 + k/60, |k| <= 3, rounded to float, n = 3..10."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    offsets = st.lists(st.integers(-3, 3), min_size=comb(n + 1, 2), max_size=comb(n + 1, 2))
+    return SimplexSpec.from_vector(n, [float(1 + Fraction(k, 60)) for k in draw(offsets)])
+
+
+@st.composite
+def near_degenerate_integer_simplices(draw):
+    """Integer points spanning `rank` < n coordinates, the last point lifted by 1 off them."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    rank = draw(st.integers(min_value=0, max_value=n - 1))
+    size = draw(st.integers(min_value=1, max_value=100))
+    coords = st.lists(st.integers(-size, size), min_size=rank, max_size=rank)
+    points = np.zeros((n + 1, n))
+    rows = draw(st.lists(coords, min_size=n + 1, max_size=n + 1))
+    points[:, :rank] = np.array(rows).reshape(n + 1, rank)
+    points[n, n - 1] = 1
+    return vertices_to_spec(points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_specs())
+def test_float_squared_volumes_match_exact_on_rational_specs(spec):
+    exact = exact_twin(spec)
+    for face_dim in (1, 2, spec.n - 2, spec.n):
+        faces = face_vertices(spec.n, face_dim)
+        want = np.array([float(v) for v in squared_volumes(exact, faces)])
+        assert np.all(np.abs(squared_volumes(spec, faces) - want) <= RATIONAL_REL * np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_degenerate_integer_simplices())
+def test_float_squared_volumes_match_exact_on_near_degenerate_simplices(spec):
+    exact = exact_twin(spec)
+    for face_dim in range(1, spec.n + 1):
+        faces = face_vertices(spec.n, face_dim)
+        want = np.array([float(v) for v in squared_volumes(exact, faces)])
+        scales = volume_scales(face_squared_lengths(spec.distance_matrix, faces))
+        assert np.all(np.abs(squared_volumes(spec, faces) - want) <= ZERO_VOLUME_REL_TOL * scales)

@@ -415,12 +415,25 @@ def test_rejected_trials_compute_no_inverse(monkeypatch):
     assert calls["inv"] == 1 + result.iterations  # the start and each accepted trial
 
 
-def test_singular_damped_system_is_a_rejected_trial():
+def test_singular_damped_system_is_a_rejected_trial(monkeypatch):
+    singular = []
+    solve_system = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve_system(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
     target = all_face_volumes(SimplexSpec.from_vector(4, SINGULAR_STEP_TARGET), 2)
     start = SimplexSpec.from_vector(4, SINGULAR_STEP_START)
     for max_iters in (100, 200):
+        singular.clear()
         result = solve(InverseProblem(target=target, start=start, max_iters=max_iters))
-        assert (result.stop_reason, result.iterations) == ("step_stall", 37)
+        assert (result.stop_reason, result.iterations) == ("step_stall", 32)
+        assert singular == [10]  # the solve met one singular damped system and went on
 
 
 def test_damping_overflows_when_every_damped_system_is_singular(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb, factorial, sqrt
 
@@ -12,7 +13,6 @@ from facevol import (
     SimplexSpec,
     all_face_volumes,
     analytic_jacobian,
-    build_cm_matrix,
     build_instance,
     build_kneser_adjacency,
     face_complement,
@@ -24,13 +24,15 @@ from facevol import (
     regular_point_constants,
     regular_simplex,
     verify_regular_point,
+    squared_volume,
     vertices_to_spec,
+    volume_gradient,
 )
 from facevol import jacobian, kneser
 from facevol.jacobian import RANK_THRESHOLD, point_jacobian, point_volumes
 from facevol.simplex import ZERO_VOLUME_REL_TOL, face_stack, face_vertices, volume_scales
 from conftest import FLAT_4_SIMPLEX, perturbed_regular
-from oracles import BoundaryError, euler_identity_check, fd_jacobian
+from oracles import BoundaryError, euler_identity_check, fd_jacobian, minor_gradient, minor_jacobian
 
 
 def test_regular_point_constants():
@@ -249,23 +251,39 @@ def test_degenerate_face_raises():
         assert {2, 5} <= {int(v) for v in face.split(", ")}
 
 
-def minor_jacobian(spec):
-    """Reference Jacobian: one determinant minor per entry (cofactor rule)."""
-    n = spec.n
-    edges = lex_pairs(n)
-    jac = np.zeros((len(edges), len(edges)))
-    for row, key in enumerate(k_subsets(n, 2)):
-        face = face_complement(n, key)
-        m = len(face) - 1
-        cm = build_cm_matrix(spec, face).astype(float)
-        prefactor = (-1) ** (m + 1) / (2**m * factorial(m) ** 2)
-        vol = sqrt(prefactor * np.linalg.det(cm))
-        for a, b in combinations(range(1, m + 2), 2):
-            minor = np.delete(np.delete(cm, a, axis=0), b, axis=1)
-            cof = (-1) ** (a + b) * np.linalg.det(minor)
-            i, j = face[a - 1], face[b - 1]
-            jac[row, edges.index((i, j))] = 2.0 * prefactor * cof * sqrt(spec.edge(i, j)) / vol
-    return jac
+@pytest.mark.parametrize("n", range(3, 8))
+def test_volume_gradient_matches_minor_and_central_differences_for_every_face_size(n):
+    # a face of each size 2..n+1: the closed form from H^-1 against one
+    # Cayley-Menger minor per entry, and against central differences of the
+    # face's volume in each of its edge lengths
+    rng = np.random.default_rng(500 + n)
+    spec = perturbed_regular(n, rng)
+    step = 1e-6
+    for size in range(2, n + 2):
+        face = tuple(sorted(rng.choice(np.arange(1, n + 2), size, replace=False).tolist()))
+        gradient, reference = volume_gradient(spec, face), minor_gradient(spec, face)
+        assert list(gradient) == list(reference) == list(combinations(face, 2))
+        got, want = np.array(list(gradient.values())), np.array(list(reference.values()))
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        for (i, j), value in gradient.items():
+            lengths = dict(spec.squared_lengths)
+            length = sqrt(lengths[i, j])
+            volumes = []
+            for h in (step, -step):
+                lengths[i, j] = (length + h) ** 2
+                volumes.append(sqrt(squared_volume(SimplexSpec(n, lengths), face)))
+            assert abs((volumes[0] - volumes[1]) / (2 * step) - value) <= 1e-6
+
+
+def test_volume_gradient_refuses_a_face_with_coincident_vertices():
+    points = np.random.default_rng(3).normal(size=(6, 5))
+    points[5] = points[1]  # vertices 2 and 6 coincide
+    spec = vertices_to_spec(points)
+    for face in ((2, 6), (1, 2, 6), (2, 3, 4, 6), (1, 2, 3, 4, 5, 6)):
+        message = rf"^face {re.escape(str(face))} is degenerate$"
+        with pytest.raises(DegenerateFaceError, match=message):
+            volume_gradient(spec, face)
+    assert volume_gradient(spec, (1, 2, 3))  # a face without both is fine
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -325,7 +343,7 @@ def test_negative_face_is_named_the_same_way_by_every_kernel():
 def test_round_off_volume_of_a_collinear_face_is_kept_and_refused_by_the_jacobian():
     # vertices 1, 2, 3 on a line: the float squared volume of their triangle is
     # positive round-off, reported as a tiny volume but degenerate for a gradient
-    points = [[0, 0, 0, 0], [1, 0, 0, 0], [1.7, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    points = [[0, 0, 0, 0], [1, 0, 0, 0], [1.1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     spec = vertices_to_spec(points)
     assert is_realizable(spec)
     value = all_face_volumes(spec, 2).values[(4, 5)]  # the face keyed by (4, 5) is (1, 2, 3)
